@@ -255,14 +255,15 @@ def cmd_univalent(args) -> int:
     lines = [f"F_{args.N}^({args.s}) coefficients"]
     lines += [f"  z^{j}: {_fmt(c)}" for j, c in enumerate(f.poly.coeffs) if c != 0.0]
     if args.s == 0:
-        verdicts = []
-        for k in range(1, args.N + 1):
-            rs = find_roots(phi_k(args.N, k))
-            dev = max(abs(abs(r.value) - 1.0) for r in rs.roots)
-            verdicts.append({"k": k, "max_circle_deviation": dev})
-        payload["phi_k"] = verdicts
-        worst = max(v["max_circle_deviation"] for v in verdicts)
-        lines.append(f"phi_k worst circle deviation over k=1..{args.N}: {worst:.3e}")
+        devs = [
+            max(abs(abs(r.value) - 1.0) for r in find_roots(phi_k(args.N, k)).roots)
+            for k in range(1, args.N + 1)
+        ]
+        payload["phi_k"] = [{"k": k, "max_circle_deviation": d} for k, d in enumerate(devs, 1)]
+        lines.append(
+            f"phi_k worst circle deviation over k=1..{args.N - 1}: {max(devs[:-1]):.3e}; "
+            f"top kernel k={args.N} (angle pi): {devs[-1]:.3e}"
+        )
         checks = quasi_extremal_checks(args.N)
         payload["W"] = {
             "derivative_magnitudes": list(checks.derivative_magnitudes),

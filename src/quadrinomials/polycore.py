@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 DEFLATION_TOL = 1e-9
+STALL_PATIENCE = 5  # polish iterations with no seed improving before stopping
 
 
 class RootNotPresent(ArithmeticError):
@@ -78,34 +79,20 @@ class RealPoly:
             return RealPoly(())
         return RealPoly.of(np.convolve(self.as_array(), other.as_array()))
 
-    def __add__(self, other: "RealPoly") -> "RealPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
+    def _plus(self, other: "RealPoly", sign: float) -> "RealPoly":
+        a = np.zeros(max(len(self.coeffs), len(other.coeffs)))
         a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
+        a[: len(other.coeffs)] += sign * np.asarray(other.coeffs)
         return RealPoly.of(a)
 
+    def __add__(self, other: "RealPoly") -> "RealPoly":
+        return self._plus(other, 1.0)
+
     def __sub__(self, other: "RealPoly") -> "RealPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] -= other.coeffs
-        return RealPoly.of(a)
+        return self._plus(other, -1.0)
 
     def scaled(self, factor: float) -> "RealPoly":
         return RealPoly.of(factor * v for v in self.coeffs)
-
-
-def eval_poly(p: RealPoly, z):
-    return p(z)
-
-
-def derivative(p: RealPoly) -> RealPoly:
-    return p.derivative()
-
-
-def multiply(p: RealPoly, q: RealPoly) -> RealPoly:
-    return p * q
 
 
 def deflate(p: RealPoly, root: float, multiplicity: int) -> RealPoly:
@@ -165,20 +152,29 @@ class SolverOptions:
 
 
 def _polish(c: np.ndarray, z: np.ndarray, budget: int) -> np.ndarray:
-    """Newton-polish all seeds at once, keeping the lowest-|p| iterate seen."""
+    """Newton-polish all seeds at once, keeping the lowest-|p| iterate seen.
+
+    Newton creeps only linearly into an m-fold root and then jitters at the
+    rounding floor, where the step test never fires; so polishing also stops
+    once no seed has lowered its best |p| for STALL_PATIENCE iterations.
+    """
     cp = npp.polyder(c)
     best = z.copy()
-    best_val = np.abs(npp.polyval(z, c))
+    pz = npp.polyval(z, c)
+    best_val = np.abs(pz)
+    stalled = 0
     for _ in range(budget):
         dv = npp.polyval(z, cp)
         safe = np.where(dv == 0, 1.0, dv)
-        step = np.where(dv == 0, 0.0, npp.polyval(z, c) / safe)
+        step = np.where(dv == 0, 0.0, pz / safe)
         z = z - step
-        val = np.abs(npp.polyval(z, c))
+        pz = npp.polyval(z, c)
+        val = np.abs(pz)
         better = val < best_val
         best[better] = z[better]
         best_val[better] = val[better]
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+        stalled = 0 if better.any() else stalled + 1
+        if stalled >= STALL_PATIENCE or np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
             break
     return best
 
@@ -187,6 +183,8 @@ def _components(z: np.ndarray, radius: float) -> list[list[int]]:
     """Single-linkage components of points under a merging radius."""
     m = len(z)
     near = np.abs(z[:, None] - z[None, :]) <= radius
+    if np.count_nonzero(near) == m:
+        return [[i] for i in range(m)]
     seen = [False] * m
     comps = []
     for i in range(m):
@@ -205,16 +203,27 @@ def _components(z: np.ndarray, radius: float) -> list[list[int]]:
     return comps
 
 
-def _derivative_chain(c: np.ndarray, upto: int) -> list[np.ndarray]:
-    chain = [c]
-    for _ in range(upto):
-        chain.append(npp.polyder(chain[-1]))
-    return chain
+class _TaylorChain:
+    """Scaled Taylor coefficients t_k = p^(k)/k! of p, built on demand.
+
+    Only the entries up to the largest candidate multiplicity are formed.
+    The raw derivative p^(k) carries a factor k! that overflows from
+    k = 171 on; t_k[j] = binom(j+k, k) c[j+k] stays finite.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self._terms = [c]
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        while len(self._terms) <= k:
+            self._terms.append(npp.polyder(self._terms[-1]) / len(self._terms))
+        return self._terms[k]
 
 
-def _abs_scale(c: np.ndarray, z: complex) -> float:
-    r = max(1.0, abs(z))
-    return float(npp.polyval(r, np.abs(c))) + 1.0
+def _abs_scale(c: np.ndarray, z):
+    """Backward-error scale sum_j |c_j| max(1,|z|)^j + 1 at a point or array."""
+    r = np.maximum(1.0, np.abs(z))
+    return npp.polyval(r, np.abs(c)) + 1.0
 
 
 def _newton_scalar(c: np.ndarray, cp: np.ndarray, z: complex, iters: int) -> complex:
@@ -230,21 +239,21 @@ def _newton_scalar(c: np.ndarray, cp: np.ndarray, z: complex, iters: int) -> com
 
 
 def _confirm_multiple(
-    chain: list[np.ndarray], z0: complex, members: np.ndarray, m: int, opts: SolverOptions
+    chain: _TaylorChain, z0: complex, members: np.ndarray, m: int, opts: SolverOptions
 ) -> complex | None:
     """Try to certify a multiplicity-m root near z0.
 
-    Refines z0 against the (m-1)-th derivative, where the root is simple, then
-    demands that all lower derivatives vanish to rounding level and that every
+    Refines z0 against t_{m-1}, where the root is simple, then demands that
+    all lower Taylor coefficients vanish to rounding level and that every
     member of the cluster sits within the expected rounding-scatter radius.
     """
-    if m - 1 >= len(chain) - 1 or len(chain[m - 1]) < 2:
+    if m >= len(chain[0]):
         return None
-    z = _newton_scalar(chain[m - 1], chain[m], z0, 100)
+    z = _newton_scalar(chain[m - 1], m * chain[m], z0, 100)
     for k in range(m):
         if abs(npp.polyval(z, chain[k])) > 1e-8 * _abs_scale(chain[k], z):
             return None
-    lead = abs(npp.polyval(z, chain[m])) / math.factorial(m)
+    lead = abs(npp.polyval(z, chain[m]))
     if lead > 0:
         eps = 1e-15 * _abs_scale(chain[0], z)
         scatter = 20.0 * (eps / lead) ** (1.0 / m)
@@ -258,58 +267,48 @@ def _confirm_multiple(
 
 def _merge_clusters(c: np.ndarray, polished: np.ndarray, opts: SolverOptions):
     """Two-stage clustering: unconditional tight merge, then certified wide merge."""
-    deg = len(c) - 1
-    chain = _derivative_chain(c, deg)
-    tight = _components(polished, opts.cluster_radius)
+    chain = _TaylorChain(c)
     groups: list[tuple[complex, int, np.ndarray]] = []
-    for comp in tight:
+    for comp in _components(polished, opts.cluster_radius):
         members = polished[comp]
         center = complex(members.mean())
         m = len(comp)
-        if m > 1:
-            refined = _confirm_multiple(chain, center, members, m, opts)
-            if refined is not None:
-                center = refined
-        groups.append((center, m, members))
+        refined = _confirm_multiple(chain, center, members, m, opts) if m > 1 else None
+        groups.append((center if refined is None else refined, m, members))
 
     centers = np.array([g[0] for g in groups])
     merged: list[tuple[complex, int]] = []
     for comp in _components(centers, opts.suspicion_radius):
-        total = sum(groups[i][1] for i in comp)
-        if len(comp) == 1 or total < 2:
-            for i in comp:
-                merged.append((groups[i][0], groups[i][1]))
-            continue
-        members = np.concatenate([groups[i][2] for i in comp])
-        z0 = complex(members.mean())
-        refined = _confirm_multiple(chain, z0, members, total, opts)
+        refined = None
+        if len(comp) > 1:
+            members = np.concatenate([groups[i][2] for i in comp])
+            total = sum(groups[i][1] for i in comp)
+            refined = _confirm_multiple(chain, complex(members.mean()), members, total, opts)
         if refined is not None:
             merged.append((refined, total))
         else:
-            for i in comp:
-                merged.append((groups[i][0], groups[i][1]))
+            merged.extend((groups[i][0], groups[i][1]) for i in comp)
     return merged
 
 
 def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
-    """All complex roots of p with multiplicities and relative residuals.
+    """All complex roots of p with multiplicities and backward errors.
 
     Exact zero roots are stripped first; the rest are companion-matrix seeds
     polished by Newton iteration and merged by the two-stage clustering.
-    Acceptance is a backward-error test: each root must satisfy
-    |p(z)| <= residual_scale * (sum_j |c_j| max(1,|z|)^j + 1), i.e. be an
-    exact root of a coefficient-wise perturbed polynomial.  A bound tied to
-    |p|_inf alone is unattainable for roots of modulus much above 1, where
-    the evaluation noise floor grows like eps * sum |c_j| |z|^j.  Raises
-    NoConvergence (with the best RootSet attached) when the test fails.
+    Each root's ``residual`` is its backward error
+    |p(z)| / (sum_j |c_j| max(1,|z|)^j + 1): a root with residual r is an
+    exact root of a polynomial whose coefficients are relatively perturbed
+    by at most r.  A bound tied to |p|_inf alone is unattainable for roots
+    of modulus much above 1, where the evaluation noise floor grows like
+    eps * sum |c_j| |z|^j.  Raises NoConvergence (with the best RootSet
+    attached) when some residual exceeds ``residual_scale``.
     """
     opts = options or SolverOptions()
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     c = p.as_array()
-    nz = 0
-    while c[nz] == 0.0:
-        nz += 1
+    nz = int(np.argmax(c != 0.0))
     pairs: list[tuple[complex, int]] = []
     if nz:
         pairs.append((0j, nz))
@@ -319,18 +318,15 @@ def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
         polished = _polish(work, seeds.astype(complex), opts.max_iterations)
         pairs.extend(_merge_clusters(work, polished, opts))
 
-    scale = 1.0 + p.norm_inf
-    roots = []
-    worst_backward = 0.0
-    for value, mult in pairs:
-        magnitude = abs(p(complex(value)))
-        roots.append(Root(complex(value), mult, magnitude / scale))
-        worst_backward = max(worst_backward, magnitude / _abs_scale(c, complex(value)))
+    values = np.array([v for v, _ in pairs], dtype=complex)
+    residuals = np.abs(npp.polyval(values, c)) / _abs_scale(c, values)
+    roots = [Root(complex(v), m, float(res)) for (v, m), res in zip(pairs, residuals)]
     roots.sort(key=lambda r: (cmath.phase(r.value), abs(r.value)))
     out = RootSet(tuple(roots), sum(r.multiplicity for r in roots))
-    if worst_backward > opts.residual_scale:
+    worst = float(residuals.max())
+    if worst > opts.residual_scale:
         raise NoConvergence(
-            f"worst backward error {worst_backward:.3e} exceeds "
+            f"worst backward error {worst:.3e} exceeds "
             f"bound {opts.residual_scale:.3e}",
             best=out,
         )

@@ -116,6 +116,15 @@ def test_univalent_with_checks(capsys):
     assert w["identity_deviation"] <= 1e-10
 
 
+def test_univalent_summary_separates_top_kernel(capsys):
+    code, out, _ = run(capsys, "univalent", "--s", "0", "--N", "5")
+    assert code == 0
+    line = next(row for row in out.splitlines() if row.startswith("phi_k"))
+    below, top = line.split(";")
+    assert "k=1..4:" in below and float(below.split(":")[1]) <= 1e-8
+    assert "k=5" in top and float(top.split(":")[1]) > 1.0
+
+
 def test_univalent_boundary_samples(capsys):
     code, out, _ = run(
         capsys, "univalent", "--s", "1", "--N", "5", "--boundary", "64", "--json"

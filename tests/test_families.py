@@ -171,20 +171,34 @@ def test_factor_rejects_non_limit_cases():
         factorize_limit_case(QuadSpec("Q", Fraction(1, 2), 5))
 
 
-def test_factorization_matches_build_moderate_degrees():
-    cases = []
-    for N in range(3, 32):
-        cases.append(("P", Fraction(-1), N))
+def _endpoint_specs(Ns):
+    """The four tabulated endpoint cases at each N."""
+    for N in Ns:
+        edge = Fraction(N, N - 2)
         if N % 2 == 0:
-            cases.append(("P", Fraction(1), N))
-            cases.append(("Q", Fraction(-N, N - 2), N))
-            cases.append(("Q", Fraction(N, N - 2), N))
+            kappas = (("P", -1), ("P", 1), ("Q", -edge), ("Q", edge))
         else:
-            cases.append(("P", Fraction(N, N - 2), N))
-            cases.append(("Q", Fraction(-N, N - 2), N))
-            cases.append(("Q", Fraction(1), N))
-    for fam, kap, N in cases:
-        assert verify_factorization(QuadSpec(fam, kap, N)) <= 1e-10, (fam, kap, N)
+            kappas = (("P", -1), ("P", edge), ("Q", -edge), ("Q", 1))
+        for fam, kap in kappas:
+            yield QuadSpec(fam, Fraction(kap), N)
+
+
+def test_factorization_matches_build_moderate_degrees():
+    for spec in _endpoint_specs(range(3, 32)):
+        assert verify_factorization(spec) <= 1e-10, spec
+
+
+def test_endpoint_multiplicities_match_factorization():
+    for spec in _endpoint_specs([*range(3, 13), 31, 57, 101]):
+        rs = find_roots(build_quadrinomial(spec))
+        multiple = sorted(
+            (round(r.value.real), r.multiplicity) for r in rs.roots if r.multiplicity > 1
+        )
+        expected = sorted((root, m) for root, m in factorize_limit_case(spec).linear if m > 1)
+        assert multiple == expected, spec
+        for r in rs.roots:
+            if r.multiplicity > 1:
+                assert abs(r.value - round(r.value.real)) <= 1e-4, spec
 
 
 def test_edge_case_has_triple_root():

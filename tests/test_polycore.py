@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
+from quadrinomials.families import QuadSpec, build_quadrinomial
 from quadrinomials.polycore import (
     NoConvergence,
     RealPoly,
@@ -10,6 +14,7 @@ from quadrinomials.polycore import (
     RootNotPresent,
     RootSet,
     SolverOptions,
+    _TaylorChain,
     classify_roots,
     deflate,
     find_roots,
@@ -160,6 +165,34 @@ def test_residual_bound_raises_and_reports_best():
         find_roots(QUINTIC, SolverOptions(residual_scale=1e-30))
     assert exc.value.best is not None
     assert exc.value.best.total == 5
+
+
+def test_residual_is_the_backward_error_that_gates():
+    # A root of modulus 1.6: |p|/(1+|p|_inf) would overstate its backward error.
+    p = RealPoly.of([6, -5, 1, 0, 2])
+    worst = max(r.residual for r in find_roots(p).roots)
+    assert worst > 0
+    find_roots(p, SolverOptions(residual_scale=worst))
+    with pytest.raises(NoConvergence):
+        find_roots(p, SolverOptions(residual_scale=0.99 * worst))
+
+
+def test_taylor_chain_matches_raw_derivatives():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        c = rng.normal(size=int(rng.integers(2, 62)))
+        chain = _TaylorChain(c)
+        for k in range(len(c)):
+            assert_allclose(chain[k] * math.factorial(k), npp.polyder(c, k), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("N", [171, 201, 501, 1000])
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_find_roots_clean_at_high_degree(family, N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = find_roots(build_quadrinomial(QuadSpec(family, 0.3, N)))
+    assert rs.total == N
 
 
 def _product_from_roots(real_roots, upper_roots, shuffle_rng):
