@@ -1,16 +1,20 @@
 """Chebyshev polynomials of the second kind and their positive zeros.
 
-U_n(cos t) = sin((n+1)t)/sin t.  The zeros of U_n are known in closed form;
-the zeros of U'_n are found by Newton iteration inside brackets supplied by
-interlacing.  Each zero x also carries the mapped value 1 - 2x**2, which is
-the cosine of the doubled arcsine angle used by the quadrinomial
-factorizations.
+U_n(cos t) = sin(kt)/sin t with k = n+1, so the zeros of U_n are known in
+closed form.  With x = cos t, U'_n(x) = -g(t)/sin(t)**3 where
+g(t) = k sin t cos kt - cos t sin kt and g'(t) = -n(n+2) sin t sin kt, so
+one vectorized Newton iteration in t, O(1) per zero and step, finds all zeros
+of U'_n inside the brackets that interlacing with the zeros of U_n supplies.
+Each zero x also carries the mapped value 1 - 2x**2, the cosine of the doubled
+arcsine angle used by the quadrinomial factorizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class BracketFailure(RuntimeError):
@@ -54,11 +58,6 @@ def cheb_U_prime(n: int, x: float) -> float:
     return ((n + 2) * cheb_U(n - 1, x) - n * cheb_U(n + 1, x)) / (2.0 * (1.0 - x * x))
 
 
-def _cheb_U_second(n: int, x: float) -> float:
-    # from the defining ODE (1-x^2) U'' - 3x U' + n(n+2) U = 0
-    return (3.0 * x * cheb_U_prime(n, x) - n * (n + 2) * cheb_U(n, x)) / (1.0 - x * x)
-
-
 def positive_roots_U(n: int) -> ChebRootList:
     """Positive zeros of U_n, descending: cos(j*pi/(n+1)) for j below (n+1)/2."""
     if n < 1:
@@ -70,34 +69,38 @@ def positive_roots_U(n: int) -> ChebRootList:
     return ChebRootList("U", n, values)
 
 
-def _newton_in_bracket(n: int, lo: float, hi: float) -> float:
-    f_lo = cheb_U_prime(n, lo)
-    f_hi = cheb_U_prime(n, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
+def _newton_in_bracket(n: int, lo, hi) -> np.ndarray:
+    """The zero of U'_n in each x-bracket [lo, hi] (scalars or arrays), by Newton in t.
+
+    A step that leaves its shrinking bracket is replaced by bisection.  Each
+    root is frozen once its step is at rounding level, about five steps from
+    the midpoint; bisection alone would need about 55, so 100 means a bug.
+    """
+    k = n + 1
+
+    def g(t):
+        return k * np.sin(t) * np.cos(k * t) - np.cos(t) * np.sin(k * t)
+
+    a = np.arccos(np.asarray(hi, dtype=float))  # x = cos t decreases in t
+    b = np.arccos(np.asarray(lo, dtype=float))
+    sign_a = np.sign(g(a))
+    if not np.all(sign_a * np.sign(g(b)) < 0):
         raise BracketFailure(f"no sign change of U'_{n} on [{lo}, {hi}]")
-    x = 0.5 * (lo + hi)
+    t = 0.5 * (a + b)
+    live = np.ones(t.shape, dtype=bool)
     for _ in range(100):
-        f = cheb_U_prime(n, x)
-        if f == 0.0:
-            break
-        if (f > 0) == (f_lo > 0):
-            lo = x
-        else:
-            hi = x
-        d = _cheb_U_second(n, x)
-        step = f / d if d != 0 else math.inf
-        nxt = x - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 4 * math.ulp(abs(x) + 1.0):
-            x = nxt
-            break
-        x = nxt
-    return x
+        gt = g(t)
+        left = np.sign(gt) == sign_a
+        a, b = np.where(left, t, a), np.where(left, b, t)
+        dg = -n * (n + 2) * np.sin(t) * np.sin(k * t)
+        nxt = t - np.divide(gt, dg, out=np.full_like(t, np.inf), where=dg != 0)
+        nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+        step = np.abs(nxt - t)
+        t = np.where(live, nxt, t)
+        live &= step > 4 * np.spacing(t)
+        if not live.any():
+            return np.cos(t)
+    raise ArithmeticError(f"Newton for the zeros of U'_{n} did not settle in 100 steps")
 
 
 def positive_roots_U_prime(n: int) -> ChebRootList:
@@ -109,12 +112,7 @@ def positive_roots_U_prime(n: int) -> ChebRootList:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    mu = positive_roots_U(n).values
-    brackets = []
-    for i in range(len(mu) - 1):
-        brackets.append((mu[i + 1], mu[i]))
-    if n % 2 == 1:
-        brackets.append((0.0, mu[-1]))
-    values = tuple(_newton_in_bracket(n, lo, hi) for (lo, hi) in brackets)
-    values = tuple(v for v in values if v > 0)
-    return ChebRootList("U_prime", n, values)
+    mu = np.array(positive_roots_U(n).values)
+    lo = np.append(mu[1:], 0.0) if n % 2 == 1 else mu[1:]
+    values = _newton_in_bracket(n, lo, mu[: len(lo)])
+    return ChebRootList("U_prime", n, tuple(values.tolist()))

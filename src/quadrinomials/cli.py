@@ -262,7 +262,7 @@ def cmd_univalent(args) -> int:
         payload["phi_k"] = [{"k": k, "max_circle_deviation": d} for k, d in enumerate(devs, 1)]
         lines.append(
             f"phi_k worst circle deviation over k=1..{args.N - 1}: {max(devs[:-1]):.3e}; "
-            f"top kernel k={args.N} (angle pi): {devs[-1]:.3e}"
+            f"top index k={args.N} (angle pi, not a kernel): {devs[-1]:.3e}"
         )
         checks = quasi_extremal_checks(args.N)
         payload["W"] = {

@@ -334,14 +334,15 @@ def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
 
 
 def self_reciprocal_sign(p: RealPoly, tol: float = 1e-12) -> int | None:
-    """+1 for palindromic coefficients, -1 for anti-palindromic, else None."""
+    """+1 if palindromic, -1 if anti-palindromic, else None; tol is relative to max |c_j|."""
     c = p.coeffs
     if not c:
         return None
+    atol = tol * max(abs(a) for a in c)
     rev = c[::-1]
-    if all(abs(a - b) <= tol for a, b in zip(c, rev)):
+    if all(abs(a - b) <= atol for a, b in zip(c, rev)):
         return 1
-    if all(abs(a + b) <= tol for a, b in zip(c, rev)):
+    if all(abs(a + b) <= atol for a, b in zip(c, rev)):
         return -1
     return None
 

@@ -101,7 +101,7 @@ def test_positive_roots_rejects_bad_n():
 
 
 def test_derivative_roots_count_and_interlacing():
-    for n in range(2, 101):
+    for n in [*range(2, 101), 101, 255, 500, 1000]:
         mu = positive_roots_U(n).values
         nu = positive_roots_U_prime(n)
         assert nu.kind == "U_prime"
@@ -116,6 +116,16 @@ def test_derivative_roots_count_and_interlacing():
         scale = n * (n + 1) * (n + 2) / 3.0
         for v in nu.values:
             assert abs(cheb_U_prime(n, v)) <= 1e-9 * scale
+
+
+def test_derivative_roots_match_second_derivative_of_T():
+    # U_n = T'_{n+1} / (n+1), so U'_n and T''_{n+1} share their zeros; numpy
+    # finds those from the Chebyshev-basis companion matrix, not from U_n
+    for n in range(2, 61):
+        oracle = np.polynomial.Chebyshev.basis(n + 1).deriv(2).roots()
+        assert np.all(np.abs(oracle.imag) <= 1e-10)
+        oracle = np.sort(oracle.real[oracle.real > 1e-10])[::-1]
+        assert_allclose(positive_roots_U_prime(n).values, oracle, rtol=0, atol=1e-10)
 
 
 def test_derivative_roots_small_cases():

@@ -123,6 +123,7 @@ def test_univalent_summary_separates_top_kernel(capsys):
     below, top = line.split(";")
     assert "k=1..4:" in below and float(below.split(":")[1]) <= 1e-8
     assert "k=5" in top and float(top.split(":")[1]) > 1.0
+    assert "top kernel" not in top and "not a kernel" in top
 
 
 def test_univalent_boundary_samples(capsys):

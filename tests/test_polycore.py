@@ -250,6 +250,15 @@ def test_self_reciprocal_signs():
     assert self_reciprocal_sign(RealPoly.of([1, 2])) is None
 
 
+def test_self_reciprocal_sign_tolerance_is_relative():
+    # a one-ulp mismatch in large coefficients is still palindromic ...
+    big = RealPoly.of([1e8, 3e7, math.nextafter(1e8, 2e8)])
+    assert self_reciprocal_sign(big) == 1
+    assert self_reciprocal_sign(RealPoly.of([-1e8, 0.0, math.nextafter(1e8, 2e8)])) == -1
+    # ... and tiny coefficients that differ by a factor of 2 are not
+    assert self_reciprocal_sign(RealPoly.of([1e-13, 0.0, 5e-14])) is None
+
+
 def test_classify_all_on_circle():
     counts = classify_roots(find_roots(RealPoly.of([1, 0, 0, 0, 1])))
     assert counts == (4, 0, 0)

@@ -159,6 +159,17 @@ def test_cohn_basic_cases():
         cohn_on_circle(RealPoly.of([3.0]))
 
 
+def test_cohn_verdict_does_not_depend_on_scale():
+    # zeros of modulus 1 - 1e-16 (numerically on the circle) ...
+    big = [1e8, 3e7, math.nextafter(1e8, 2e8)]
+    assert_allclose(np.abs(np.roots(big[::-1])), 1.0, rtol=1e-14)
+    assert cohn_on_circle(RealPoly.of(big))
+    # ... and zeros of modulus sqrt(2), far off it
+    tiny = [1e-13, 0.0, 5e-14]
+    assert_allclose(np.abs(np.roots(tiny[::-1])), math.sqrt(2.0), rtol=1e-14)
+    assert not cohn_on_circle(RealPoly.of(tiny))
+
+
 def test_cohn_agrees_with_circle_criterion():
     rng = np.random.default_rng(41)
     for _ in range(24):
