@@ -20,6 +20,36 @@ from .polycore import RealPoly, find_roots, self_reciprocal_sign
 
 STRICTNESS_TOL = 1e-9
 T_START_OFFSET = 1e-6
+SCHUR_GUARD = 1e-7
+
+
+def _schur_cohn(c, radius: float) -> bool | None:
+    """Every zero of sum c_j z^j in |z| < radius, by the Schur-Cohn recursion
+    (Marden, Geometry of Polynomials, sections 42-45) on the monic c_j radius^j;
+    None when some step's constant term k has |1 - |k|| <= SCHUR_GUARD, where
+    rounding decides.
+    """
+    a = np.asarray(c, dtype=float) * radius ** np.arange(len(c))
+    a = a / a[-1]
+    while a.size > 1:
+        k = a[0]
+        if abs(1.0 - abs(k)) <= SCHUR_GUARD:
+            return None
+        if abs(k) > 1.0:
+            return False
+        # |k| < 1: by Rouche a - k a* (a* = a reversed) has as many zeros in
+        # the disk as a, one of them z = 0
+        a = (a[1:] - k * a[-2::-1]) / (1.0 - k * k)
+    return True
+
+
+def _in_disk(p: RealPoly, radius: float, closed: bool) -> bool:
+    """Zeros of p in |z| < radius (<= if closed); found only if Schur-Cohn declines."""
+    verdict = _schur_cohn(p.coeffs, radius)
+    if verdict is None:
+        moduli = [abs(r.value) for r in find_roots(p).roots]
+        verdict = all(m <= radius if closed else m < radius for m in moduli)
+    return verdict
 
 
 def trinomial(n: int, a: float, b: float) -> RealPoly:
@@ -31,14 +61,13 @@ def trinomial(n: int, a: float, b: float) -> RealPoly:
 
 
 def trinomial_in_disk(n: int, a: float, b: float) -> bool:
-    """True iff every zero of z^n + a z^(n-1) + b has |z| < 1 - tol."""
+    """True iff every zero of z^n + a z^(n-1) + b has |z| < 1 - tol.
+
+    Root-free unless a zero is within about SCHUR_GUARD of that circle.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    p = trinomial(n, a, b)
-    if p.degree < 1:
-        return True
-    rs = find_roots(p)
-    return all(abs(r.value) < 1.0 - STRICTNESS_TOL for r in rs.roots)
+    return _in_disk(trinomial(n, a, b), 1.0 - STRICTNESS_TOL, closed=False)
 
 
 def boundary_point(curve: str, n: int, t: float) -> tuple[float, float]:
@@ -128,17 +157,14 @@ def quadrinomial_derivative_line(spec: QuadSpec):
 
 
 def cohn_on_circle(p: RealPoly, tol: float = STRICTNESS_TOL) -> bool:
-    """All zeros of p on the unit circle, decided without computing them.
+    """All zeros of p on the unit circle, by Cohn's theorem.
 
     Requires p self-reciprocal (either sign) and every zero of p' inside the
-    closed unit disk (|z| <= 1 + tol).
+    closed unit disk (|z| <= 1 + tol), tested root-free unless a zero of p'
+    is within about SCHUR_GUARD of that circle, as on every interval edge.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     if self_reciprocal_sign(p) is None:
         return False
-    dp = p.derivative()
-    if dp.degree < 1:
-        return True
-    rs = find_roots(dp)
-    return all(abs(r.value) <= 1.0 + tol for r in rs.roots)
+    return _in_disk(p.derivative(), 1.0 + tol, closed=True)

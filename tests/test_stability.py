@@ -1,10 +1,14 @@
 import csv
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from quadrinomials.families import (
@@ -13,9 +17,11 @@ from quadrinomials.families import (
     circle_criterion,
     kappa_limits,
 )
-from quadrinomials.polycore import RealPoly
+from quadrinomials.polycore import RealPoly, find_roots
 from quadrinomials.stability import (
+    STRICTNESS_TOL,
     T_START_OFFSET,
+    _schur_cohn,
     boundary_point,
     cohn_on_circle,
     corner_point,
@@ -179,3 +185,101 @@ def test_cohn_agrees_with_circle_criterion():
         kap = float(rng.uniform(lo - 0.6, hi + 0.6))
         spec = QuadSpec(fam, kap, N)
         assert cohn_on_circle(build_quadrinomial(spec)) == circle_criterion(spec)
+
+
+# A zero of modulus radius +- gap: a real zero (angle 0 or pi) or a
+# conjugate pair.  The gap keeps every zero at least 1e-3 off the circle.
+_zero = st.tuples(
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(1e-3, 0.45),
+    st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.05, math.pi - 0.05)),
+)
+
+
+@given(
+    radius=st.one_of(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9]), st.floats(0.5, 2.0)),
+    zeros=st.lists(_zero, min_size=1, max_size=30),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_schur_cohn_never_returns_the_wrong_verdict(radius, zeros, scale):
+    points = []
+    for side, gap, angle in zeros:
+        z = (radius + side * gap) * complex(math.cos(angle), math.sin(angle))
+        points += [z] if angle in (0.0, math.pi) else [z, z.conjugate()]
+    assume(len(points) <= 30)
+    # well-separated zeros, so that rounding the coefficients cannot move a
+    # zero across the circle and the verdict is the one the zeros were built for
+    pts = np.array(points)
+    dist = np.abs(pts[:, None] - pts[None, :]) + np.eye(pts.size)
+    assume(dist.min() >= 0.05)
+    c = np.array([scale])
+    for z in points:
+        if z.imag == 0:
+            c = npp.polymul(c, [-z.real, 1.0])
+        elif z.imag > 0:
+            c = npp.polymul(c, [abs(z) ** 2, -2.0 * z.real, 1.0])
+    truth = all(abs(z) < radius for z in points)
+    assert _schur_cohn(c, radius) in (truth, None)
+
+
+def test_schur_cohn_declines_zeros_on_the_circle():
+    # (1 + z)^2 (1 + z + z^2): a double zero and a pair on |z| = 1
+    assert _schur_cohn([1.0, 3.0, 4.0, 3.0, 1.0], 1.0 + 1e-9) is None
+    assert _schur_cohn([-(1.0 - 1e-12), 1.0], 1.0) is None
+
+
+def _root_decisions(spec):
+    """(Cohn, trinomial) verdicts from the zeros of p' themselves."""
+    moduli = [abs(r.value) for r in find_roots(build_quadrinomial(spec).derivative()).roots]
+    return (
+        all(m <= 1.0 + STRICTNESS_TOL for m in moduli),
+        all(m < 1.0 - STRICTNESS_TOL for m in moduli),
+    )
+
+
+def test_disk_tests_match_the_root_decision():
+    rng = np.random.default_rng(2024)
+    for i in range(150):
+        fam = "PQ"[int(rng.integers(2))]
+        N = int(rng.integers(3, 102))
+        lo, hi = (float(x) for x in kappa_limits(fam, N))
+        if i % 3 == 0:
+            edge = (lo, hi)[int(rng.integers(2))]
+            kap = edge + float(rng.choice([-1.0, 1.0])) * 10 ** rng.uniform(-9, -1)
+        else:
+            kap = float(rng.uniform(lo - 0.5, hi + 0.5))
+        spec = QuadSpec(fam, kap, N)
+        got = (
+            cohn_on_circle(build_quadrinomial(spec)),
+            trinomial_in_disk(*quadrinomial_derivative_line(spec)),
+        )
+        assert got == _root_decisions(spec), spec
+
+
+def test_cohn_true_on_every_endpoint_case():
+    for N in range(3, 102):
+        edge = Fraction(N, N - 2)
+        if N % 2 == 0:
+            kappas = (("P", -1), ("P", 1), ("Q", -edge), ("Q", edge))
+        else:
+            kappas = (("P", -1), ("P", edge), ("Q", -edge), ("Q", 1))
+        for fam, kap in kappas:
+            p = build_quadrinomial(QuadSpec(fam, Fraction(kap), N))
+            # p' has zeros on the circle, which Schur-Cohn leaves to find_roots
+            assert _schur_cohn(p.derivative().coeffs, 1.0 + STRICTNESS_TOL) is None
+            assert cohn_on_circle(p), (fam, kap, N)
+
+
+@pytest.mark.parametrize("N", [171, 201, 501, 1000])
+@pytest.mark.parametrize("family", ["P", "Q"])
+@pytest.mark.parametrize("kappa", [0.3, 1.5])
+def test_disk_tests_clean_at_high_degree(family, N, kappa):
+    spec = QuadSpec(family, kappa, N)
+    p = build_quadrinomial(spec)
+    line = quadrinomial_derivative_line(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # both stay on the Schur-Cohn path, whose monic step divides by 1 - k^2
+        assert _schur_cohn(p.derivative().coeffs, 1.0 + STRICTNESS_TOL) is not None
+        assert _schur_cohn(trinomial(*line).coeffs, 1.0 - STRICTNESS_TOL) is not None
+        assert cohn_on_circle(p) == trinomial_in_disk(*line) == (kappa == 0.3)
