@@ -62,10 +62,7 @@ def positive_roots_U(n: int) -> ChebRootList:
     """Positive zeros of U_n, descending: cos(j*pi/(n+1)) for j below (n+1)/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = tuple(
-        math.cos(j * math.pi / (n + 1)) for j in range(1, (n + 1) // 2 + (n + 1) % 2)
-    )
-    values = tuple(v for v in values if v > 0)
+    values = tuple(math.cos(j * math.pi / (n + 1)) for j in range(1, n // 2 + 1))
     return ChebRootList("U", n, values)
 
 

@@ -6,9 +6,11 @@ numerics failed to converge.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .families import (
@@ -65,27 +67,6 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _emit(args, command: str, params: dict, payload: dict, text_lines) -> int:
-    stream = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.json:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "params": {k: str(v) for k, v in params.items()},
-                "payload": payload,
-            }
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
-        else:
-            for line in text_lines:
-                stream.write(line + "\n")
-    finally:
-        if args.out:
-            stream.close()
-    return 0
-
-
 def _root_rows(rs):
     return [
         {
@@ -110,148 +91,106 @@ def _format_factored(form) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def cmd_roots(args) -> int:
-    spec = QuadSpec(args.family.upper(), args.kappa, args.N)
+def _spec(args) -> QuadSpec:
+    return QuadSpec(args.family.upper(), args.kappa, args.N)
+
+
+def cmd_roots(args):
+    spec = _spec(args)
     rs = find_roots(build_quadrinomial(spec))
     counts = classify_roots(rs)
-    payload = {
-        "degree": rs.total,
-        "roots": _root_rows(rs),
-        "classification": {
-            "on_circle": counts.on_circle,
-            "inside": counts.inside,
-            "outside": counts.outside,
-        },
-    }
     lines = [f"family {spec.family}  kappa {spec.kappa}  N {spec.N}"]
-    for r in rs.roots:
-        lines.append(
-            f"  {_fmt(r.value.real)} {r.value.imag:+.12g}i"
-            f"  mult {r.multiplicity}  residual {r.residual:.2e}"
-        )
+    lines += [
+        f"  {_fmt(r.value.real)} {r.value.imag:+.12g}i"
+        f"  mult {r.multiplicity}  residual {r.residual:.2e}"
+        for r in rs.roots
+    ]
     lines.append(
         f"on circle {counts.on_circle}, inside {counts.inside}, outside {counts.outside}"
     )
-    params = {"family": args.family, "kappa": args.kappa, "N": args.N}
-    return _emit(args, "roots", params, payload, lines)
+    payload = {"degree": rs.total, "roots": _root_rows(rs), "classification": counts._asdict()}
+    return payload, lines
 
 
-def cmd_criterion(args) -> int:
-    spec = QuadSpec(args.family.upper(), args.kappa, args.N)
-    check = verify_criterion(spec)
-    payload = {
-        "predicted": check.predicted,
-        "observed": check.observed,
-        "worst_deviation": check.worst_deviation,
-    }
+def cmd_criterion(args):
+    check = verify_criterion(_spec(args))
     lines = [
         f"predicted={check.predicted} observed={check.observed} "
         f"worst_deviation={check.worst_deviation:.3e}"
     ]
-    params = {"family": args.family, "kappa": args.kappa, "N": args.N}
-    return _emit(args, "criterion", params, payload, lines)
+    return check._asdict(), lines
 
 
-def cmd_factor(args) -> int:
-    spec = QuadSpec(args.family.upper(), args.kappa, args.N)
+def cmd_factor(args):
+    spec = _spec(args)
     form = factorize_limit_case(spec)
     deviation = verify_factorization(spec)
     payload = {
-        "linear": [[root, mult] for root, mult in form.linear],
-        "quadratics": list(form.quadratics),
+        "linear": form.linear,
+        "quadratics": form.quadratics,
         "scale": form.scale,
         "max_deviation": deviation,
     }
-    lines = [_format_factored(form), f"max coefficient deviation {deviation:.3e}"]
-    params = {"family": args.family, "kappa": args.kappa, "N": args.N}
-    return _emit(args, "factor", params, payload, lines)
+    return payload, [_format_factored(form), f"max coefficient deviation {deviation:.3e}"]
 
 
-def cmd_cusps(args) -> int:
+def cmd_cusps(args):
     angles = cusp_angles(args.N)
     diffs = [b - a for a, b in zip(angles, angles[1:])]
-    payload = {"N": args.N, "angles": angles, "differences": diffs}
     lines = [f"cusp angles for N={args.N}"]
     lines += [f"  {_fmt(a)}" for a in angles]
     if diffs:
         lines.append("differences " + " ".join(_fmt(d) for d in diffs))
-    return _emit(args, "cusps", {"N": args.N}, payload, lines)
+    return {"N": args.N, "angles": angles, "differences": diffs}, lines
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args):
     cs = stability_boundary(args.n, args.samples)
-    payload = {
-        "n": cs.n,
-        "t_range": [cs.t_range[0], cs.t_range[1]],
-        "curves": {
-            "I": [[a, b] for a, b in cs.curves["I"]],
-            "II": [[a, b] for a, b in cs.curves["II"]],
-            "III": [[t, a, b] for t, a, b in cs.curves["III"]],
-            "IV": [[t, a, b] for t, a, b in cs.curves["IV"]],
-        },
-    }
     buf = io.StringIO()
     cs.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    params = {"n": args.n, "samples": args.samples}
-    return _emit(args, "stability", params, payload, lines)
+    return {"n": cs.n, "t_range": cs.t_range, "curves": cs.curves}, buf.getvalue().splitlines()
 
 
-def cmd_cohn(args) -> int:
+def cmd_cohn(args):
     p = RealPoly.of(args.coeffs)
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
     verdict = cohn_on_circle(p)
     sign = self_reciprocal_sign(p)
     dp = p.derivative()
-    rows = []
-    if dp.degree >= 1:
-        rows = _root_rows(find_roots(dp))
-    payload = {
-        "on_circle": verdict,
-        "self_reciprocal": sign,
-        "derivative_roots": rows,
-    }
+    rows = _root_rows(find_roots(dp)) if dp.degree >= 1 else []
     lines = [
         f"all zeros on unit circle: {verdict}",
         f"self-reciprocal sign: {sign}",
     ]
-    for r in rows:
-        lines.append(
-            f"  p' root {_fmt(r['re'])} {_fmt(r['im'])}i  mult {r['multiplicity']}"
-        )
-    return _emit(args, "cohn", {"coeffs": args.coeffs}, payload, lines)
+    lines += [
+        f"  p' root {_fmt(r['re'])} {_fmt(r['im'])}i  mult {r['multiplicity']}" for r in rows
+    ]
+    return {"on_circle": verdict, "self_reciprocal": sign, "derivative_roots": rows}, lines
 
 
-def _cmd_factored_family(args, name, poly_fn, factored_fn) -> int:
-    f = poly_fn(args.N)
-    form = factored_fn(args.N)
+def _cmd_derivative(args):
+    # the fejer and alexander subcommands; args.command picks the family
+    if args.command == "fejer":
+        f, form = fejer(args.N), fejer_derivative_factored(args.N)
+    else:
+        f, form = alexander(args.N), alexander_derivative_factored(args.N)
     deviation = (form.expand() - f.poly.derivative()).norm_inf
     payload = {
         "N": args.N,
-        "coefficients": list(f.poly.coeffs),
-        "linear": [[root, mult] for root, mult in form.linear],
-        "quadratics": list(form.quadratics),
+        "coefficients": f.poly.coeffs,
+        "linear": form.linear,
+        "quadratics": form.quadratics,
         "max_deviation": deviation,
     }
     lines = [
-        f"{name}({args.N}) derivative = {_format_factored(form)}",
+        f"{args.command}({args.N}) derivative = {_format_factored(form)}",
         f"max coefficient deviation {deviation:.3e}",
     ]
-    return _emit(args, name, {"N": args.N}, payload, lines)
+    return payload, lines
 
 
-def cmd_fejer(args) -> int:
-    return _cmd_factored_family(args, "fejer", fejer, fejer_derivative_factored)
-
-
-def cmd_alexander(args) -> int:
-    return _cmd_factored_family(args, "alexander", alexander, alexander_derivative_factored)
-
-
-def cmd_univalent(args) -> int:
+def cmd_univalent(args):
     f = F_family(args.s, args.N)
-    payload = {"s": args.s, "N": args.N, "coefficients": list(f.poly.coeffs)}
+    payload = {"s": args.s, "N": args.N, "coefficients": f.poly.coeffs}
     lines = [f"F_{args.N}^({args.s}) coefficients"]
     lines += [f"  z^{j}: {_fmt(c)}" for j, c in enumerate(f.poly.coeffs) if c != 0.0]
     if args.s == 0:
@@ -265,12 +204,7 @@ def cmd_univalent(args) -> int:
             f"top index k={args.N} (angle pi, not a kernel): {devs[-1]:.3e}"
         )
         checks = quasi_extremal_checks(args.N)
-        payload["W"] = {
-            "derivative_magnitudes": list(checks.derivative_magnitudes),
-            "scale": checks.scale,
-            "deflated_circle_deviation": checks.deflated_circle_deviation,
-            "identity_deviation": checks.identity_deviation,
-        }
+        payload["W"] = asdict(checks)
         lines.append(
             "W at -1: "
             + " ".join(f"{v:.2e}" for v in checks.derivative_magnitudes)
@@ -285,16 +219,50 @@ def cmd_univalent(args) -> int:
             "simple": simple,
             "samples": [[float(t), w.real, w.imag] for t, w in zip(img.ts, img.points)],
         }
+        buf = io.StringIO()
+        img.to_csv(buf)
         lines.append(f"boundary simple at resolution {args.boundary}: {simple}")
-        lines.append("t,re,im")
-        lines += [
-            f"{float(t)!r},{float(w.real)!r},{float(w.imag)!r}"
-            for t, w in zip(img.ts, img.points)
-        ]
-    params = {"s": args.s, "N": args.N}
-    if args.boundary:
-        params["boundary"] = args.boundary
-    return _emit(args, "univalent", params, payload, lines)
+        lines += buf.getvalue().splitlines()
+    return payload, lines
+
+
+_FAMILY = (
+    ("--family", {"required": True, "choices": ["p", "q", "P", "Q"]}),
+    ("--kappa", {"required": True, "type": parse_kappa}),
+    ("--N", {"required": True, "type": int}),
+)
+_N = (("--N", {"required": True, "type": int}),)
+
+# Subcommand -> (help, arguments in params order, handler name).  Handlers are
+# looked up by name when the parser is built, so a cmd_* rebound after import
+# (the span tracer in bench/spans.py) is the one that runs.
+_COMMANDS = {
+    "roots": ("roots of the quadrinomial", _FAMILY, "cmd_roots"),
+    "criterion": ("circle criterion vs observed roots", _FAMILY, "cmd_criterion"),
+    "factor": ("limit-case factorization", _FAMILY, "cmd_factor"),
+    "cusps": ("cusp angle table for odd N", _N, "cmd_cusps"),
+    "stability": (
+        "trinomial stability boundary curves",
+        (("--n", {"required": True, "type": int}), ("--samples", {"type": int, "default": 256})),
+        "cmd_stability",
+    ),
+    "cohn": (
+        "self-reciprocal circle test",
+        (("--coeffs", {"required": True, "type": parse_coeffs, "help": "c0,c1,..."}),),
+        "cmd_cohn",
+    ),
+    "fejer": ("Fejer polynomial derivative factorization", _N, "_cmd_derivative"),
+    "alexander": ("Alexander polynomial derivative factorization", _N, "_cmd_derivative"),
+    "univalent": (
+        "univalent family member with checks",
+        (
+            ("--s", {"required": True, "type": int, "choices": [0, 1, 2, 3, 4]}),
+            ("--N", {"required": True, "type": int}),
+            ("--boundary", {"type": int, "metavar": "RES", "help": "emit boundary samples"}),
+        ),
+        "cmd_univalent",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,78 +271,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quadrinomial circle criteria, factorizations, and univalent families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
-
-    def fam_args(p):
-        p.add_argument("--family", required=True, choices=["p", "q", "P", "Q"])
-        p.add_argument("--kappa", required=True, type=parse_kappa)
-        p.add_argument("--N", required=True, type=int)
-
-    p = sub.add_parser("roots", help="roots of the quadrinomial")
-    fam_args(p)
-    common(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("criterion", help="circle criterion vs observed roots")
-    fam_args(p)
-    common(p)
-    p.set_defaults(func=cmd_criterion)
-
-    p = sub.add_parser("factor", help="limit-case factorization")
-    fam_args(p)
-    common(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("cusps", help="cusp angle table for odd N")
-    p.add_argument("--N", required=True, type=int)
-    common(p)
-    p.set_defaults(func=cmd_cusps)
-
-    p = sub.add_parser("stability", help="trinomial stability boundary curves")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--samples", type=int, default=256)
-    common(p)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("cohn", help="self-reciprocal circle test")
-    p.add_argument("--coeffs", required=True, type=parse_coeffs, help="c0,c1,...")
-    common(p)
-    p.set_defaults(func=cmd_cohn)
-
-    p = sub.add_parser("fejer", help="Fejer polynomial derivative factorization")
-    p.add_argument("--N", required=True, type=int)
-    common(p)
-    p.set_defaults(func=cmd_fejer)
-
-    p = sub.add_parser("alexander", help="Alexander polynomial derivative factorization")
-    p.add_argument("--N", required=True, type=int)
-    common(p)
-    p.set_defaults(func=cmd_alexander)
-
-    p = sub.add_parser("univalent", help="univalent family member with checks")
-    p.add_argument("--s", required=True, type=int, choices=[0, 1, 2, 3, 4])
-    p.add_argument("--N", required=True, type=int)
-    p.add_argument("--boundary", type=int, metavar="RES", help="emit boundary samples")
-    common(p)
-    p.set_defaults(func=cmd_univalent)
-
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except (NotALimitCase, ParityMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergence, RootNotPresent) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    params = {}
+    for flag, spec in _COMMANDS[args.command][1]:
+        value = getattr(args, flag[2:])
+        # an optional argument left unset or 0 (univalent --boundary) stays out
+        if spec.get("required") or value:
+            params[flag[2:]] = str(value)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+        if args.json:
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "params": params,
+                "payload": payload,
+            }
+            json.dump(doc, stream, indent=2)
+            stream.write("\n")
+        else:
+            stream.writelines(line + "\n" for line in lines)
+    return 0
 
 
 if __name__ == "__main__":

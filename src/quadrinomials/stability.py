@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .families import QuadSpec
+from .families import QuadSpec, _exact_kappa
 from .polycore import RealPoly, find_roots, self_reciprocal_sign
 
 STRICTNESS_TOL = 1e-9
@@ -142,15 +141,11 @@ def quadrinomial_derivative_line(spec: QuadSpec):
     rational a, b.
     """
     n = spec.N - 1
-    kap = spec.kappa
-    if isinstance(kap, int):
-        kap = Fraction(kap)
-    if isinstance(kap, Fraction):
-        a = kap * n / (n + 1)
-        b = kap / (n + 1)
-    else:
-        a = kap * n / (n + 1.0)
-        b = kap / (n + 1.0)
+    kap = _exact_kappa(spec.kappa)
+    if kap is None:
+        kap = spec.kappa
+    a = kap * n / (n + 1)
+    b = kap / (n + 1)
     if spec.family == "Q":
         b = -b
     return (n, a, b)

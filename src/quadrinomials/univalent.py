@@ -246,65 +246,54 @@ def boundary_image(f: NormalizedPoly, resolution: int = 4096) -> BoundaryImage:
     return BoundaryImage(ts, pts, resolution)
 
 
-def _touch_degenerate(p1, p2, q1, q2) -> bool:
-    # orientation-zero fallback: endpoint or collinear-overlap contact
-    def cross(ux, uy, vx, vy):
-        return ux * vy - uy * vx
-
-    def on_segment(ax, ay, bx, by, cx, cy):
-        return min(ax, bx) <= cx <= max(ax, bx) and min(ay, by) <= cy <= max(ay, by)
-
-    d1 = cross(q2[0] - q1[0], q2[1] - q1[1], p1[0] - q1[0], p1[1] - q1[1])
-    d2 = cross(q2[0] - q1[0], q2[1] - q1[1], p2[0] - q1[0], p2[1] - q1[1])
-    d3 = cross(p2[0] - p1[0], p2[1] - p1[1], q1[0] - p1[0], q1[1] - p1[1])
-    d4 = cross(p2[0] - p1[0], p2[1] - p1[1], q2[0] - p1[0], q2[1] - p1[1])
-    if ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
-            ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and on_segment(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1]):
-        return True
-    if d2 == 0 and on_segment(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1]):
-        return True
-    if d3 == 0 and on_segment(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1]):
-        return True
-    if d4 == 0 and on_segment(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1]):
-        return True
-    return False
+def _within(c, u, v) -> np.ndarray:
+    """Points c in the bounding boxes of segments uv (broadcast over rows)."""
+    return np.all((np.minimum(u, v) <= c) & (c <= np.maximum(u, v)), axis=-1)
 
 
 def simple_curve_scan(img: BoundaryImage) -> bool:
     """True iff no pair of non-adjacent polyline segments intersects.
 
-    Exact orientation tests decide proper crossings vectorized per row;
-    rows with a zero orientation fall back to the scalar endpoint and
-    collinear-overlap checks.  Necessary (not sufficient) for injectivity
+    Exact orientation tests decide proper crossings vectorized per row; in
+    the pairs with a zero orientation, the endpoint on the other segment's
+    line touches it (endpoint or collinear-overlap contact) iff it lies in
+    that segment's bounding box.  Necessary (not sufficient) for injectivity
     at the sampled resolution.
     """
-    pts = np.column_stack([img.points.real, img.points.imag])
-    m = len(pts)
+    m = len(img.points)
     if m < 4:
         return True
-    a = pts
-    b = np.vstack([pts[1:], pts[:1]])
+    pts = np.column_stack([img.points.real, img.points.imag])
+    pts = np.vstack([pts, pts[:1]])  # segment k runs from pts[k] to pts[k + 1]
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    sx, sy = np.diff(x), np.diff(y)
     for i in range(m - 2):
         j0 = i + 2
         j1 = m - 1 if i == 0 else m
-        if j0 >= j1:
-            continue
-        p1, p2 = a[i], b[i]
-        q1 = a[j0:j1]
-        q2 = b[j0:j1]
-        r = p2 - p1
-        d3 = (q1[:, 0] - p1[0]) * r[1] - (q1[:, 1] - p1[1]) * r[0]
-        d4 = (q2[:, 0] - p1[0]) * r[1] - (q2[:, 1] - p1[1]) * r[0]
-        s = q2 - q1
-        d1 = (p1[0] - q1[:, 0]) * s[:, 1] - (p1[1] - q1[:, 1]) * s[:, 0]
-        d2 = (p2[0] - q1[:, 0]) * s[:, 1] - (p2[1] - q1[:, 1]) * s[:, 0]
-        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+        q = slice(j0, j1 + 1)  # endpoints of segments j0..j1-1
+        # orientation signs of segment i's ends against each segment's line
+        # (rows p1, p2), and of each q endpoint against segment i's line.
+        # Signs are multiplied, never orientations: those products underflow
+        # to 0 or overflow on tiny or huge curves.
+        p_side = np.sign(
+            (x[i : i + 2, None] - x[j0:j1]) * sy[j0:j1]
+            - (y[i : i + 2, None] - y[j0:j1]) * sx[j0:j1]
+        )
+        q_side = np.sign((x[q] - x[i]) * sy[i] - (y[q] - y[i]) * sx[i])
+        p_prod = p_side[0] * p_side[1]
+        q_prod = q_side[:-1] * q_side[1:]
+        if np.any((p_prod < 0) & (q_prod < 0)):
             return False
-        degen = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        if np.any(degen):
-            for k in np.nonzero(degen)[0]:
-                if _touch_degenerate(p1, p2, q1[k], q2[k]):
-                    return False
+        zero = (p_prod == 0) | (q_prod == 0)
+        if np.any(zero):
+            p1, p2 = pts[i], pts[i + 1]
+            q1, q2 = pts[j0:j1][zero], pts[j0 + 1 : j1 + 1][zero]
+            touch = (
+                (p_side[0][zero] == 0) & _within(p1, q1, q2)
+                | (p_side[1][zero] == 0) & _within(p2, q1, q2)
+                | (q_side[:-1][zero] == 0) & _within(q1, p1, p2)
+                | (q_side[1:][zero] == 0) & _within(q2, p1, p2)
+            )
+            if np.any(touch):
+                return False
     return True

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +336,66 @@ def test_scan_proper_crossing_small_polyline():
     pts = np.array([0 + 0j, 1 + 1j, 1 + 0j, 0 + 1j])
     img = BoundaryImage(np.arange(4.0), pts, 4)
     assert not simple_curve_scan(img)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e150])
+def test_scan_crossing_at_extreme_scales(scale):
+    # a product of two orientations underflows to 0 at 1e-100 and overflows at 1e150
+    pts = scale * np.array([0 + 0j, 1 + 1j, 1 + 0j, 0 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not simple_curve_scan(BoundaryImage(np.arange(4.0), pts, 4))
+
+
+def _segments_meet(p1, p2, q1, q2) -> bool:
+    """Exact test on integer points: solve p1 + t(p2-p1) = q1 + u(q2-q1)."""
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1])
+
+    def on_segment(c, a, b):
+        if a == b:
+            return c == a
+        ab, ac = sub(b, a), sub(c, a)
+        dot = ac[0] * ab[0] + ac[1] * ab[1]
+        return cross(ab, ac) == 0 and 0 <= dot <= ab[0] ** 2 + ab[1] ** 2
+
+    r, s, w = sub(p2, p1), sub(q2, q1), sub(q1, p1)
+    det = cross(r, s)
+    if det != 0:
+        t, u = Fraction(cross(w, s), det), Fraction(cross(w, r), det)
+        return 0 <= t <= 1 and 0 <= u <= 1
+    # parallel or degenerate: the segments meet iff an endpoint lies on the other
+    return (on_segment(p1, q1, q2) or on_segment(p2, q1, q2)
+            or on_segment(q1, p1, p2) or on_segment(q2, p1, p2))
+
+
+def _brute_force_simple(pts) -> bool:
+    m = len(pts)
+    seg = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    return not any(
+        _segments_meet(*seg[i], *seg[j])
+        for i in range(m)
+        for j in range(i + 2, m)
+        if not (i == 0 and j == m - 1)
+    )
+
+
+def test_scan_matches_exact_brute_force_on_grid_polylines():
+    # a 4x4 grid makes collinear overlaps and vertex-on-segment contacts common
+    rng = random.Random(2024)
+    verdicts = []
+    for _ in range(3000):
+        m = rng.randint(3, 9)
+        pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m)]
+        img = BoundaryImage(np.arange(float(m)), np.array([complex(x, y) for x, y in pts]), m)
+        expected = _brute_force_simple(pts)
+        assert simple_curve_scan(img) == expected, pts
+        verdicts.append(expected)
+    assert 300 < sum(verdicts) < 2700
 
 
 def test_scan_degenerate_touch():
