@@ -20,6 +20,7 @@ from .families import FactoredForm
 from .polycore import RealPoly, deflate, find_roots
 
 INNER_TOL = 1e-9
+SCAN_CHUNK = 2048  # candidate pairs per simple_curve_scan chunk: ~200 KB of work arrays
 
 
 class ParityMismatch(ValueError):
@@ -246,54 +247,77 @@ def boundary_image(f: NormalizedPoly, resolution: int = 4096) -> BoundaryImage:
     return BoundaryImage(ts, pts, resolution)
 
 
-def _within(c, u, v) -> np.ndarray:
-    """Points c in the bounding boxes of segments uv (broadcast over rows)."""
-    return np.all((np.minimum(u, v) <= c) & (c <= np.maximum(u, v)), axis=-1)
+def _any_meet(pts, lo, hi, i, j) -> bool:
+    """Exact test: does segment i[n] meet segment j[n] for some n?  Segment k
+    runs from pts[k] to pts[k + 1] and has the closed box lo[k]..hi[k]."""
+    ix = (i, i + 1, j, j + 1)
+    x, y = [pts[e, 0] for e in ix], [pts[e, 1] for e in ix]
+
+    def side(c, a):  # orientation sign of end c against the segment from end a
+        return np.sign((x[c] - x[a]) * (y[a + 1] - y[a]) - (y[c] - y[a]) * (x[a + 1] - x[a]))
+
+    # Signs are multiplied, never orientations: those products underflow to 0
+    # or overflow on tiny or huge curves.
+    s = (side(0, 2), side(1, 2), side(2, 0), side(3, 0))
+    if np.any((s[0] * s[1] < 0) & (s[2] * s[3] < 0)):
+        return True
+    # an end on the other segment's line touches it (endpoint or collinear
+    # overlap contact) iff it lies in that segment's box
+    for c, a in ((0, 2), (1, 2), (2, 0), (3, 0)):
+        on_line = s[c] == 0
+        e, k = ix[c][on_line], ix[a][on_line]
+        if np.any(np.all((lo[k] <= pts[e]) & (pts[e] <= hi[k]), axis=1)):
+            return True
+    return False
+
+
+def _sweep(lo, hi):
+    """Sort closed intervals [lo, hi] by lo.  Sorted interval r overlaps the
+    later sorted ones r+1 .. ends[r]-1; cum is the running count of those pairs."""
+    order = np.argsort(lo)
+    ends = np.searchsorted(lo[order], hi[order], side="right")
+    cum = np.cumsum(ends - np.arange(1, len(lo) + 1))
+    return order, ends, cum
 
 
 def simple_curve_scan(img: BoundaryImage) -> bool:
     """True iff no pair of non-adjacent polyline segments intersects.
 
-    Exact orientation tests decide proper crossings vectorized per row; in
-    the pairs with a zero orientation, the endpoint on the other segment's
-    line touches it (endpoint or collinear-overlap contact) iff it lies in
-    that segment's bounding box.  Necessary (not sufficient) for injectivity
-    at the sampled resolution.
+    Broad phase: a sweep over the segments' closed bounding boxes, sorted on
+    the axis where np.searchsorted counts fewer overlapping pairs (images of
+    real polynomials are symmetric about the real axis, so usually y).  The
+    candidate pairs are built SCAN_CHUNK at a time and filtered by overlap
+    on the other axis and by adjacency; disjoint boxes cannot meet.  Narrow
+    phase, exact: orientation signs decide proper crossings, and an end on
+    the other segment's line touches it iff it lies in that segment's box.
+    The scan returns False after the first chunk with a meeting pair.
+
+    Typical curves take O(m log m) time.  A curve whose boxes overlap
+    pairwise, such as a star with long spikes, takes O(m^2) time, still in
+    O(m + SCAN_CHUNK) memory.  Necessary (not sufficient) for injectivity at
+    the sampled resolution.
     """
     m = len(img.points)
     if m < 4:
         return True
     pts = np.column_stack([img.points.real, img.points.imag])
     pts = np.vstack([pts, pts[:1]])  # segment k runs from pts[k] to pts[k + 1]
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    sx, sy = np.diff(x), np.diff(y)
-    for i in range(m - 2):
-        j0 = i + 2
-        j1 = m - 1 if i == 0 else m
-        q = slice(j0, j1 + 1)  # endpoints of segments j0..j1-1
-        # orientation signs of segment i's ends against each segment's line
-        # (rows p1, p2), and of each q endpoint against segment i's line.
-        # Signs are multiplied, never orientations: those products underflow
-        # to 0 or overflow on tiny or huge curves.
-        p_side = np.sign(
-            (x[i : i + 2, None] - x[j0:j1]) * sy[j0:j1]
-            - (y[i : i + 2, None] - y[j0:j1]) * sx[j0:j1]
-        )
-        q_side = np.sign((x[q] - x[i]) * sy[i] - (y[q] - y[i]) * sx[i])
-        p_prod = p_side[0] * p_side[1]
-        q_prod = q_side[:-1] * q_side[1:]
-        if np.any((p_prod < 0) & (q_prod < 0)):
+    lo, hi = np.minimum(pts[:-1], pts[1:]), np.maximum(pts[:-1], pts[1:])
+    sweeps = [_sweep(lo[:, a], hi[:, a]) for a in (0, 1)]
+    axis = min((0, 1), key=lambda a: sweeps[a][2][-1])  # fewer candidate pairs
+    order, ends, cum = sweeps[axis]
+    del sweeps  # frees the other axis's arrays before the chunks allocate
+    lo_other, hi_other = lo[:, 1 - axis], hi[:, 1 - axis]
+    for start in range(0, int(cum[-1]), SCAN_CHUNK):
+        flat = np.arange(start, min(start + SCAN_CHUNK, cum[-1]))
+        # flat pair index -> sorted box r and the later sorted box it overlaps
+        r = np.searchsorted(cum, flat, side="right")
+        u, v = order[r], order[ends[r] + flat - cum[r]]
+        gap = np.abs(u - v)
+        # adjacent segments share an end, and so do 0 and m-1
+        keep = (gap >= 2) & (gap < m - 1)
+        keep &= (lo_other[u] <= hi_other[v]) & (lo_other[v] <= hi_other[u])
+        u, v = u[keep], v[keep]
+        if _any_meet(pts, lo, hi, np.minimum(u, v), np.maximum(u, v)):
             return False
-        zero = (p_prod == 0) | (q_prod == 0)
-        if np.any(zero):
-            p1, p2 = pts[i], pts[i + 1]
-            q1, q2 = pts[j0:j1][zero], pts[j0 + 1 : j1 + 1][zero]
-            touch = (
-                (p_side[0][zero] == 0) & _within(p1, q1, q2)
-                | (p_side[1][zero] == 0) & _within(p2, q1, q2)
-                | (q_side[:-1][zero] == 0) & _within(q1, p1, p2)
-                | (q_side[1:][zero] == 0) & _within(q2, p1, p2)
-            )
-            if np.any(touch):
-                return False
     return True

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from quadrinomials.univalent import (
     phi_k,
     quasi_extremal_checks,
     quasi_extremal_W,
+    SCAN_CHUNK,
     simple_curve_scan,
     suffridge_membership,
     suffridge_transform,
@@ -338,50 +340,64 @@ def test_scan_proper_crossing_small_polyline():
     assert not simple_curve_scan(img)
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e150])
+@pytest.mark.parametrize("scale", [1e-100, 1e-150, 1e150])
 def test_scan_crossing_at_extreme_scales(scale):
-    # a product of two orientations underflows to 0 at 1e-100 and overflows at 1e150
+    # a product of two orientations underflows to 0 at 1e-100 and overflows at
+    # 1e150; the limacons add the box sweep over 4096 segments at each scale
     pts = scale * np.array([0 + 0j, 1 + 1j, 1 + 0j, 0 + 1j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not simple_curve_scan(BoundaryImage(np.arange(4.0), pts, 4))
+        for a, simple in ((0.3, True), (0.6, False)):
+            img = boundary_image(_np([0.0, 1.0, a], 2), 4096)
+            img = BoundaryImage(img.ts, scale * img.points, 4096)
+            assert simple_curve_scan(img) is simple
 
 
-def _segments_meet(p1, p2, q1, q2) -> bool:
-    """Exact test on integer points: solve p1 + t(p2-p1) = q1 + u(q2-q1)."""
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
 
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1])
+def _on_segment(c, a, b):
+    """c on the closed segment ab (a point if a == b), exactly in integers."""
+    ab, ac = b - a, c - a
+    dot = np.sum(ac * ab, axis=-1)
+    on_line = (_cross(ab, ac) == 0) & (0 <= dot) & (dot <= np.sum(ab * ab, axis=-1))
+    return on_line & (np.any(ab != 0, axis=-1) | np.all(ac == 0, axis=-1))
 
-    def on_segment(c, a, b):
-        if a == b:
-            return c == a
-        ab, ac = sub(b, a), sub(c, a)
-        dot = ac[0] * ab[0] + ac[1] * ab[1]
-        return cross(ab, ac) == 0 and 0 <= dot <= ab[0] ** 2 + ab[1] ** 2
 
-    r, s, w = sub(p2, p1), sub(q2, q1), sub(q1, p1)
-    det = cross(r, s)
-    if det != 0:
-        t, u = Fraction(cross(w, s), det), Fraction(cross(w, r), det)
-        return 0 <= t <= 1 and 0 <= u <= 1
-    # parallel or degenerate: the segments meet iff an endpoint lies on the other
-    return (on_segment(p1, q1, q2) or on_segment(p2, q1, q2)
-            or on_segment(q1, p1, p2) or on_segment(q2, p1, p2))
+def _nonadjacent_pairs(m):
+    """Index pairs i < j of the closed polyline's segments that share no end."""
+    i, j = np.triu_indices(m, 2)
+    keep = ~((i == 0) & (j == m - 1))
+    return i[keep], j[keep]
 
 
 def _brute_force_simple(pts) -> bool:
-    m = len(pts)
-    seg = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
-    return not any(
-        _segments_meet(*seg[i], *seg[j])
-        for i in range(m)
-        for j in range(i + 2, m)
-        if not (i == 0 and j == m - 1)
+    """Exact reference on integer points: for every pair of non-adjacent
+    segments solve p1 + t(p2-p1) = q1 + u(q2-q1) in int64 arithmetic."""
+    p = np.array(pts, dtype=np.int64)
+    assert np.abs(p).max() < 2**20  # every product below stays exact
+    i, j = _nonadjacent_pairs(len(p))
+    p1, p2, q1, q2 = p[i], np.roll(p, -1, 0)[i], p[j], np.roll(p, -1, 0)[j]
+    r, s, w = p2 - p1, q2 - q1, q1 - p1
+    det = _cross(r, s)
+    # t = cross(w, s) / det and u = cross(w, r) / det both in [0, 1]
+    ts, us, d = np.sign(det) * _cross(w, s), np.sign(det) * _cross(w, r), np.abs(det)
+    if np.any((det != 0) & (0 <= ts) & (ts <= d) & (0 <= us) & (us <= d)):
+        return False
+    # parallel or degenerate: the segments meet iff an endpoint lies on the other
+    par = det == 0
+    p1, p2, q1, q2 = p1[par], p2[par], q1[par], q2[par]
+    return not np.any(
+        _on_segment(p1, q1, q2) | _on_segment(p2, q1, q2)
+        | _on_segment(q1, p1, p2) | _on_segment(q2, p1, p2)
     )
+
+
+def _scan_points(pts) -> bool:
+    z = np.array([complex(x, y) for x, y in pts])
+    return simple_curve_scan(BoundaryImage(np.arange(float(len(z))), z, len(z)))
 
 
 def test_scan_matches_exact_brute_force_on_grid_polylines():
@@ -391,11 +407,106 @@ def test_scan_matches_exact_brute_force_on_grid_polylines():
     for _ in range(3000):
         m = rng.randint(3, 9)
         pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m)]
-        img = BoundaryImage(np.arange(float(m)), np.array([complex(x, y) for x, y in pts]), m)
         expected = _brute_force_simple(pts)
-        assert simple_curve_scan(img) == expected, pts
+        assert _scan_points(pts) == expected, pts
         verdicts.append(expected)
     assert 300 < sum(verdicts) < 2700
+
+
+def _star_polygon(rng, m, spiky):
+    """m integer points sorted by angle about the origin, one per direction.
+    Spiky ones mix radii 5..100, so many segment boxes overlap near 0."""
+    pts = {}
+    while len(pts) < m:
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        r = rng.uniform(5.0, 100.0) if spiky and rng.random() < 0.5 else rng.uniform(80.0, 100.0)
+        x, y = round(r * math.cos(a)), round(r * math.sin(a))
+        g = math.gcd(x, y)
+        pts.setdefault((x // g, y // g), (x, y))
+    return sorted(pts.values(), key=lambda p: math.atan2(p[1], p[0]))
+
+
+def _lattice_point_on(a, b, rng):
+    g = math.gcd(b[0] - a[0], b[1] - a[1]) or 1
+    k = rng.randint(0, g)
+    return (a[0] + k * (b[0] - a[0]) // g, a[1] + k * (b[1] - a[1]) // g)
+
+
+def _perturb(pts, rng):
+    """Make contact with an edge e not adjacent to vertex k's two edges."""
+    m = len(pts)
+    k = rng.randrange(m)
+    e = (k + rng.randint(2, m - 2)) % m
+    a, b = pts[e], pts[(e + 1) % m]
+    kind = rng.randrange(3)
+    if kind == 0:  # vertex exactly on the edge, its ends included
+        pts[k] = _lattice_point_on(a, b, rng)
+    elif kind == 1:  # segment k on edge e's line: collinear overlap
+        pts[k], pts[(k + 1) % m] = _lattice_point_on(a, b, rng), _lattice_point_on(a, b, rng)
+    else:  # vertex on the edge's end, next vertex beyond it in x: boxes touch at lo == hi
+        pts[k] = a
+        pts[(k + 1) % m] = (a[0] + (a[0] - b[0] or 1), pts[(k + 1) % m][1])
+    return pts
+
+
+def _candidate_pairs_lower_bound(pts) -> int:
+    """Non-adjacent segment pairs whose closed boxes overlap on both axes."""
+    p = np.array(pts, dtype=float)
+    lo, hi = np.minimum(p, np.roll(p, -1, 0)), np.maximum(p, np.roll(p, -1, 0))
+    i, j = _nonadjacent_pairs(len(p))
+    return int(np.sum(np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)))
+
+
+def test_scan_matches_exact_brute_force_on_star_polygons():
+    rng = random.Random(2025)
+    curves = []
+    for _ in range(400):
+        m = round(30 * 10 ** rng.random())  # 30..300, log-uniform
+        pts = _star_polygon(rng, m, rng.random() < 0.5)
+        curves.append(_perturb(pts, rng) if rng.random() < 0.4 else pts)
+    # 300 spikes to radius 1000 between radius-100 valleys: some 9000 box
+    # pairs overlap, more than four chunks; then the same with a small bow tie
+    # at one tip, the pair that a sweep on either axis reaches last
+    spikes = [
+        (round(r * math.cos(a)), round(r * math.sin(a)))
+        for k in range(300)
+        for a, r in [(2 * math.pi * k / 300, 1000.0 if k % 2 else 100.0)]
+    ]
+    assert _candidate_pairs_lower_bound(spikes) > 4 * SCAN_CHUNK
+    x, y = spikes[37]
+    bow_tie = [(x, y), (x + 20, y + 20), (x + 20, y), (x, y + 20)]
+    curves += [spikes, spikes[:37] + bow_tie + spikes[38:]]
+    verdicts = []
+    for pts in curves:
+        expected = _brute_force_simple(pts)
+        assert _scan_points(pts) == expected, pts
+        verdicts.append(expected)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def _memory_case(case):
+    if case == "F_family(1, 101)":
+        return boundary_image(F_family(1, 101), 65536), True
+    m = 4096 if case == "doubled circle" else 1024
+    ts = np.arange(m) * (2.0 * math.pi / m)
+    if case == "doubled circle":
+        return BoundaryImage(ts, np.exp(2j * ts), m), False
+    # 512 spikes from radius 0.05 to 1: each segment box overlaps about m/4
+    # others on both axes, so the broad phase passes O(m^2) pairs
+    radius = np.where(np.arange(m) % 2, 1.0, 0.05)
+    return BoundaryImage(ts, radius * np.exp(1j * ts), m), True
+
+
+@pytest.mark.parametrize("case", ["F_family(1, 101)", "doubled circle", "spiky star"])
+def test_scan_working_memory_is_linear_in_samples(case):
+    img, simple = _memory_case(case)
+    tracemalloc.start()
+    try:
+        assert simple_curve_scan(img) is simple
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * len(img.points)
 
 
 def test_scan_degenerate_touch():
