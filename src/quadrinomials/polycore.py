@@ -151,24 +151,38 @@ class SolverOptions:
     suspicion_radius: float = 5e-3
 
 
-def _polish(c: np.ndarray, z: np.ndarray, budget: int) -> np.ndarray:
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """npp.polyval(z, c) for an array z: same operation order and bits, two buffers.
+
+    Scalars stay on npp.polyval: numpy's scalar complex multiply rounds unlike the
+    array loop, and so does an in-place one of length 1, hence ``prod``.
+    """
+    acc = c[-1] + z * 0
+    prod = np.empty_like(acc)
+    for cj in c[-2::-1].astype(acc.dtype):  # the cast an add would make, done once
+        np.multiply(acc, z, prod)
+        np.add(prod, cj, acc)
+    return acc
+
+
+def _polish(chain: _TaylorChain, z: np.ndarray, budget: int) -> np.ndarray:
     """Newton-polish all seeds at once, keeping the lowest-|p| iterate seen.
 
     Newton creeps only linearly into an m-fold root and then jitters at the
     rounding floor, where the step test never fires; so polishing also stops
     once no seed has lowered its best |p| for STALL_PATIENCE iterations.
     """
-    cp = npp.polyder(c)
+    c, cp = chain[0], chain[1]
     best = z.copy()
-    pz = npp.polyval(z, c)
+    pz = _horner(c, z)
     best_val = np.abs(pz)
     stalled = 0
     for _ in range(budget):
-        dv = npp.polyval(z, cp)
+        dv = _horner(cp, z)
         safe = np.where(dv == 0, 1.0, dv)
         step = np.where(dv == 0, 0.0, pz / safe)
         z = z - step
-        pz = npp.polyval(z, c)
+        pz = _horner(c, z)
         val = np.abs(pz)
         better = val < best_val
         best[better] = z[better]
@@ -179,27 +193,25 @@ def _polish(c: np.ndarray, z: np.ndarray, budget: int) -> np.ndarray:
     return best
 
 
-def _components(z: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage components of points under a merging radius."""
-    m = len(z)
-    near = np.abs(z[:, None] - z[None, :]) <= radius
-    if np.count_nonzero(near) == m:
-        return [[i] for i in range(m)]
-    seen = [False] * m
+def _components(near: np.ndarray) -> list[list[int]]:
+    """Connected components of the symmetric ``near`` (true diagonal), by smallest index."""
+    alone = (np.count_nonzero(near, axis=1) == 1).tolist()
+    seen = [False] * len(near)
     comps = []
-    for i in range(m):
-        if seen[i]:
-            continue
-        stack, comp = [i], []
-        seen[i] = True
-        while stack:
-            j = stack.pop()
-            comp.append(j)
-            for k in np.nonzero(near[j])[0]:
-                if not seen[k]:
-                    seen[k] = True
-                    stack.append(int(k))
-        comps.append(sorted(comp))
+    for i in range(len(near)):
+        if alone[i]:
+            comps.append([i])
+        elif not seen[i]:
+            stack, comp = [i], []
+            seen[i] = True
+            while stack:
+                j = stack.pop()
+                comp.append(j)
+                for k in np.nonzero(near[j])[0]:
+                    if not seen[k]:
+                        seen[k] = True
+                        stack.append(int(k))
+            comps.append(sorted(comp))
     return comps
 
 
@@ -216,14 +228,16 @@ class _TaylorChain:
 
     def __getitem__(self, k: int) -> np.ndarray:
         while len(self._terms) <= k:
-            self._terms.append(npp.polyder(self._terms[-1]) / len(self._terms))
+            t = self._terms[-1]  # the products j * c_j of npp.polyder, then the 1/k
+            self._terms.append(t[1:] * np.arange(1, len(t)) / len(self._terms))
         return self._terms[k]
 
 
 def _abs_scale(c: np.ndarray, z):
     """Backward-error scale sum_j |c_j| max(1,|z|)^j + 1 at a point or array."""
     r = np.maximum(1.0, np.abs(z))
-    return npp.polyval(r, np.abs(c)) + 1.0
+    a = np.abs(c)
+    return (_horner(a, r) if isinstance(r, np.ndarray) else npp.polyval(r, a)) + 1.0
 
 
 def _newton_scalar(c: np.ndarray, cp: np.ndarray, z: complex, iters: int) -> complex:
@@ -265,20 +279,22 @@ def _confirm_multiple(
     return z
 
 
-def _merge_clusters(c: np.ndarray, polished: np.ndarray, opts: SolverOptions):
+def _merge_clusters(chain: _TaylorChain, polished: np.ndarray, opts: SolverOptions):
     """Two-stage clustering: unconditional tight merge, then certified wide merge."""
-    chain = _TaylorChain(c)
+    dist = np.abs(polished[:, None] - polished[None, :])
+    if np.count_nonzero(dist <= max(opts.cluster_radius, opts.suspicion_radius)) == len(dist):
+        return [(complex(v), 1) for v in polished]  # neither stage has a pair to merge
     groups: list[tuple[complex, int, np.ndarray]] = []
-    for comp in _components(polished, opts.cluster_radius):
+    for comp in _components(dist <= opts.cluster_radius):
         members = polished[comp]
-        center = complex(members.mean())
         m = len(comp)
+        center = complex(members[0] if m == 1 else members.mean())  # one point: no mean needed
         refined = _confirm_multiple(chain, center, members, m, opts) if m > 1 else None
         groups.append((center if refined is None else refined, m, members))
 
     centers = np.array([g[0] for g in groups])
     merged: list[tuple[complex, int]] = []
-    for comp in _components(centers, opts.suspicion_radius):
+    for comp in _components(np.abs(centers[:, None] - centers[None, :]) <= opts.suspicion_radius):
         refined = None
         if len(comp) > 1:
             members = np.concatenate([groups[i][2] for i in comp])
@@ -315,11 +331,12 @@ def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
     work = c[nz:]
     if len(work) > 1:
         seeds = np.atleast_1d(npp.polyroots(work))
-        polished = _polish(work, seeds.astype(complex), opts.max_iterations)
-        pairs.extend(_merge_clusters(work, polished, opts))
+        chain = _TaylorChain(work)
+        polished = _polish(chain, seeds.astype(complex), opts.max_iterations)
+        pairs.extend(_merge_clusters(chain, polished, opts))
 
     values = np.array([v for v, _ in pairs], dtype=complex)
-    residuals = np.abs(npp.polyval(values, c)) / _abs_scale(c, values)
+    residuals = np.abs(_horner(c, values)) / _abs_scale(c, values)
     roots = [Root(complex(v), m, float(res)) for (v, m), res in zip(pairs, residuals)]
     roots.sort(key=lambda r: (cmath.phase(r.value), abs(r.value)))
     out = RootSet(tuple(roots), sum(r.multiplicity for r in roots))

@@ -12,9 +12,13 @@ from quadrinomials.polycore import (
     RealPoly,
     Root,
     RootNotPresent,
+    STALL_PATIENCE,
     RootSet,
     SolverOptions,
     _TaylorChain,
+    _components,
+    _horner,
+    _polish,
     classify_roots,
     deflate,
     find_roots,
@@ -295,3 +299,164 @@ def test_classify_counts_sum_to_degree():
         rs = find_roots(p)
         counts = classify_roots(rs)
         assert sum(counts) == rs.total == p.degree == n_real + 2 * n_pairs
+
+
+# --- bit identity of the array evaluator and the clustering ----------------
+#
+# find_roots evaluates arrays with the in-place _horner, which must round
+# exactly as npp.polyval does.  Bits are compared as integers, so a signed
+# zero or a NaN payload that differs fails too.
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def _sparse(n, entries):
+    c = np.zeros(n + 1)
+    for j, v in entries:
+        c[j] += v
+    return c
+
+
+def _coefficient_vectors(rng):
+    for n in range(201):
+        yield rng.normal(size=n + 1)
+    for n in (3, 4, 7, 20, 51, 100, 171, 200):
+        k = float(rng.uniform(-2.0, 2.0))
+        yield _sparse(n, [(0, 1.0), (1, k), (n - 1, k), (n, 1.0)])  # p
+        yield _sparse(n, [(0, 1.0), (1, k), (n - 1, -k), (n, -1.0)])  # q
+        yield _sparse(n, [(0, k), (n - 2, k * (n - 1)), (n - 1, n)])  # p'
+        yield _sparse(n, [(0, -k / n), (1, -k * (n - 1) / n), (n, 1.0)])  # trinomial
+
+
+def _points(rng, size):
+    circle = np.exp(1j * rng.uniform(-np.pi, np.pi, size=size))
+    x = rng.uniform(-3.0, 3.0, size=size)
+    on_axis = x + 0j
+    below_axis = x - 0j
+    below_axis.imag = -0.0
+    radii = 10.0 ** rng.uniform(-3.0, 3.0, size=size)
+    wide = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size=size))
+    return [circle, on_axis, below_axis, wide, x, radii * rng.choice([-1.0, 1.0], size=size)]
+
+
+def test_horner_matches_polyval_bitwise():
+    rng = np.random.default_rng(401)
+    with np.errstate(all="ignore"):  # |z| = 1e3 at degree 200 overflows in both
+        for c in _coefficient_vectors(rng):
+            for z in _points(rng, int(rng.integers(1, 40))):
+                assert _same_bits(_horner(c, z), npp.polyval(z, c))
+
+
+def test_derivative_matches_polyder_bitwise():
+    rng = np.random.default_rng(403)
+    for c in _coefficient_vectors(rng):
+        if len(c) < 2:
+            continue
+        chain = _TaylorChain(c)
+        assert _same_bits(chain[1], npp.polyder(c))
+        for k in range(1, min(len(c), 8)):
+            assert _same_bits(chain[k], npp.polyder(chain[k - 1]) / k)
+
+
+def _polish_by_polyval(c, z, budget):
+    """The Newton polish written with npp.polyval and npp.polyder throughout."""
+    cp = npp.polyder(c)
+    best, pz = z.copy(), npp.polyval(z, c)
+    best_val, stalled = np.abs(pz), 0
+    for _ in range(budget):
+        dv = npp.polyval(z, cp)
+        step = np.where(dv == 0, 0.0, pz / np.where(dv == 0, 1.0, dv))
+        z = z - step
+        pz = npp.polyval(z, c)
+        val = np.abs(pz)
+        better = val < best_val
+        best[better], best_val[better] = z[better], val[better]
+        stalled = 0 if better.any() else stalled + 1
+        if stalled >= STALL_PATIENCE or np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+            break
+    return best
+
+
+def test_polish_and_residuals_match_polyval_bitwise():
+    rng = np.random.default_rng(409)
+    polys = [RealPoly.of(rng.normal(size=int(rng.integers(2, 40)))) for _ in range(40)]
+    polys += [build_quadrinomial(QuadSpec(f, k, N)) for f in "PQ" for k in (-1, 0.4, 1.2) for N in (5, 12, 33)]
+    polys.append(QUINTIC)
+    for p in polys:
+        c = p.as_array()
+        seeds = npp.polyroots(c).astype(complex)
+        assert _same_bits(_polish(_TaylorChain(c), seeds, 500), _polish_by_polyval(c, seeds, 500))
+        try:
+            rs = find_roots(p)
+        except NoConvergence as exc:
+            rs = exc.best
+        values = np.array(rs.values())
+        scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c)) + 1.0
+        expected = np.abs(npp.polyval(values, c)) / scale
+        assert _same_bits([r.residual for r in rs.roots], expected)
+
+
+def _union_find(dist, radius):
+    parent = list(range(len(dist)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(dist)):
+        for j in range(i + 1, len(dist)):
+            if dist[i, j] <= radius:
+                parent[root(j)] = root(i)
+    comps: dict[int, list[int]] = {}
+    for i in range(len(dist)):
+        comps.setdefault(root(i), []).append(i)
+    return sorted(comps.values())
+
+
+def _point_sets(rng, r):
+    yield np.array([0j])
+    yield np.arange(12) * 3.0 * r + 0j  # all singletons
+    yield rng.uniform(-1, 1, size=30) + 1j * rng.uniform(-1, 1, size=30)
+    yield np.array([0, 0.9 * r, 1.8 * r, 5 * r, 5.9 * r]) + 0j  # chains a~b~c, a and c apart
+    for _ in range(20):
+        centers = rng.uniform(-60 * r, 60 * r, size=6) + 1j * rng.uniform(-60 * r, 60 * r, size=6)
+        sizes = rng.integers(1, 5, size=6)
+        pts = np.concatenate([
+            c + (r / 3) * (rng.uniform(-1, 1, size=k) + 1j * rng.uniform(-1, 1, size=k))
+            for c, k in zip(centers, sizes)
+        ])
+        chain = pts[0] + 0.9 * r * np.arange(1, int(rng.integers(2, 6)))
+        yield rng.permutation(np.concatenate([pts, chain]))
+
+
+def test_components_match_union_find():
+    rng = np.random.default_rng(419)
+    r = 1e-3
+    seen_chain = seen_singletons = False
+    for z in _point_sets(rng, r):
+        dist = np.abs(z[:, None] - z[None, :])
+        expected = _union_find(dist, r)
+        assert _components(dist <= r) == expected
+        seen_singletons |= all(len(comp) == 1 for comp in expected) and len(z) > 1
+        seen_chain |= any(dist[comp][:, comp].max() > r for comp in expected)
+    assert seen_chain and seen_singletons
+
+
+def test_tight_merge_uses_the_larger_radius():
+    # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside cluster_radius but
+    # outside suspicion_radius, so the tight stage merges it unconditionally.
+    p = RealPoly.of(npp.polyfromroots([1.0, 1.001, -2.0]))
+    with pytest.raises(NoConvergence) as exc:
+        find_roots(p, SolverOptions(cluster_radius=1e-2, suspicion_radius=1e-4))
+    best = exc.value.best
+    assert best.total == 3
+    assert sorted(r.multiplicity for r in best.roots) == [1, 2]
+    double = next(r for r in best.roots if r.multiplicity == 2)
+    assert abs(double.value - 1.0005) < 1e-12
+    assert len(find_roots(p).roots) == 3  # default radii keep the pair apart
