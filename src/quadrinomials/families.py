@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .chebyshev import positive_roots_U, positive_roots_U_prime
 from .polycore import RealPoly, SolverOptions, find_roots
 
@@ -69,24 +71,13 @@ class FactoredForm:
         the balanced tree with interleaved factor order keeps every partial
         product tame (observed max deviation under 1e-11 through N = 101).
         """
-        factors: list[RealPoly] = []
-        for root, mult in self.linear:
-            factors.extend([RealPoly.of((1.0, -float(root)))] * mult)
-        for c in self.quadratics:
-            factors.append(RealPoly.of((1.0, -2.0 * c, 1.0)))
-        if not factors:
-            out = RealPoly.of((1.0,))
-        else:
-            factors = [factors[i] for i in _bit_reversed(len(factors))]
-            while len(factors) > 1:
-                paired = [
-                    factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)
-                ]
-                if len(factors) % 2:
-                    paired.append(factors[-1])
-                factors = paired
-            out = factors[0]
-        return out if self.scale == 1.0 else out.scaled(self.scale)
+        factors = [np.array([1.0, -float(r)]) for r, mult in self.linear for _ in range(mult)]
+        factors += [np.array([1.0, -2.0 * c, 1.0]) for c in self.quadratics]
+        factors = [factors[i] for i in _bit_reversed(len(factors))] or [np.ones(1)]
+        while len(factors) > 1:  # plain arrays; one RealPoly at the end
+            paired = [np.convolve(a, b) for a, b in zip(factors[::2], factors[1::2])]
+            factors = paired + factors[2 * len(paired):]
+        return RealPoly.of(self.scale * factors[0])
 
 
 def _bit_reversed(k: int) -> list[int]:

@@ -1,12 +1,21 @@
 """Print the exact bits of find_roots on a fixed set of polynomials.
 
     OPENBLAS_NUM_THREADS=1 python tests/solver_bits.py > bits.txt
+    python tests/solver_bits.py --compare old.txt new.txt
 
 Run from the repository root on two trees and diff the outputs: an empty
 diff means the solver returns the same roots, multiplicities and residuals
 bit for bit.  Each line is one case: its name, then per root the hex of the
 real and imaginary parts, the multiplicity and the hex of the residual; a
 case that raises NoConvergence prints that and its ``best`` root set.
+
+``--compare`` checks the solver contract between two such outputs instead:
+every case keeps its NoConvergence status, its root count and its
+multiplicities in order; every root moves by at most
+1e-10 * max(1, |z|); and every residual of a converged case stays within
+``residual_scale``.  It prints the number of identical cases, the worst
+relative root move per multiplicity and the worst residual, and exits 1 on a
+breach.
 
 The set covers the eight tabulated endpoint cases and their derivatives at
 N = 3..101, 171, 201 and 400; four seeded float kappa per (family, N) and
@@ -35,7 +44,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits  # noqa: E402
-from quadrinomials.polycore import NoConvergence, RealPoly, find_roots  # noqa: E402
+from quadrinomials.polycore import NoConvergence, RealPoly, SolverOptions, find_roots  # noqa: E402
 from quadrinomials.univalent import F_family, ParityMismatch, phi_k  # noqa: E402
 
 DEGREES = list(range(3, 102)) + [171, 201, 400]
@@ -98,7 +107,53 @@ def describe(rs) -> str:
     )
 
 
+def parse(path: str) -> list[tuple[str, bool, list[tuple[complex, int, float]]]]:
+    out = []
+    for line in Path(path).read_text().splitlines():
+        name, _, rest = line.partition(": ")
+        failed = rest.startswith("NoConvergence best")
+        roots = []
+        for item in rest.split()[2 if failed else 0:]:
+            real, imag, m, res = item.split(",")
+            roots.append((complex(float.fromhex(real), float.fromhex(imag)), int(m), float.fromhex(res)))
+        out.append((name, failed, roots))
+    return out
+
+
+def compare(old_path: str, new_path: str) -> int:
+    old, new = parse(old_path), parse(new_path)
+    bound = SolverOptions().residual_scale
+    breaches: list[str] = []
+    if [case[0] for case in old] != [case[0] for case in new]:
+        breaches.append("the two outputs hold different cases")
+    identical, worst_move, worst_residual = 0, {}, (0.0, "")
+    for (name, old_failed, old_roots), (_, failed, roots) in zip(old, new):
+        identical += (old_failed, old_roots) == (failed, roots)
+        if failed != old_failed or [r[1] for r in roots] != [r[1] for r in old_roots]:
+            breaches.append(f"{name}: NoConvergence status, root count or multiplicities differ")
+            continue
+        for (z0, m, _), (z, _, res) in zip(old_roots, roots):
+            move = abs(z - z0) / max(1.0, abs(z0))
+            if move > worst_move.get(m, (-1.0, ""))[0]:
+                worst_move[m] = (move, name)
+            if move > 1e-10:
+                breaches.append(f"{name}: root {z0} moved by {move:.3e} relative")
+            if not failed and res > bound:
+                breaches.append(f"{name}: residual {res:.3e} exceeds {bound:.3e}")
+            if not failed and res > worst_residual[0]:
+                worst_residual = (res, name)
+    print(f"identical cases: {identical} of {len(new)}")
+    for m in sorted(worst_move):
+        print(f"worst relative |dz|, multiplicity {m}: {worst_move[m][0]:.3e} ({worst_move[m][1]})")
+    print(f"worst residual of a converged case: {worst_residual[0]:.3e} ({worst_residual[1]})")
+    for line in breaches:
+        print("BREACH", line)
+    return 1 if breaches else 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        return compare(sys.argv[2], sys.argv[3])
     for name, p in cases():
         try:
             line = describe(find_roots(p))

@@ -17,7 +17,9 @@ from quadrinomials.families import (
     verify_criterion,
     verify_factorization,
 )
-from quadrinomials.polycore import find_roots, self_reciprocal_sign
+from quadrinomials.families import _bit_reversed
+from quadrinomials.polycore import RealPoly, find_roots, self_reciprocal_sign
+from quadrinomials.univalent import alexander_derivative_factored, fejer_derivative_factored
 
 
 def test_spec_validation():
@@ -247,3 +249,26 @@ def test_factored_form_degree_and_scale():
     assert f.degree == 5
     assert f.expand().coeffs[0] == 3.0
     assert FactoredForm((), ()).expand().coeffs == (1.0,)
+
+
+def _expand_pairwise(form: FactoredForm) -> RealPoly:
+    """The reference product: one RealPoly per factor and per partial product."""
+    factors = [RealPoly.of((1.0, -float(root))) for root, mult in form.linear for _ in range(mult)]
+    factors += [RealPoly.of((1.0, -2.0 * c, 1.0)) for c in form.quadratics]
+    if not factors:
+        return RealPoly.of((form.scale,))
+    factors = [factors[i] for i in _bit_reversed(len(factors))]
+    while len(factors) > 1:
+        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        factors = paired + factors[len(paired) * 2:]
+    return factors[0] if form.scale == 1.0 else factors[0].scaled(form.scale)
+
+
+def test_expand_matches_pairwise_product_bitwise():
+    forms = [factorize_limit_case(spec) for spec in _endpoint_specs(range(3, 102))]
+    forms += [fejer_derivative_factored(N) for N in range(2, 102)]
+    forms += [alexander_derivative_factored(N) for N in range(1, 102)]
+    forms += [FactoredForm(((1, 2), (-1, 1)), (0.25, -0.0), scale=3.0), FactoredForm((), (), 2.0)]
+    for form in forms:
+        got, want = form.expand().coeffs, _expand_pairwise(form).coeffs
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64)), form

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
+from quadrinomials import polycore
 from quadrinomials.families import QuadSpec, build_quadrinomial
 from quadrinomials.polycore import (
     NoConvergence,
@@ -17,13 +20,16 @@ from quadrinomials.polycore import (
     SolverOptions,
     _TaylorChain,
     _components,
+    _evaluate,
     _horner,
     _polish,
+    _sparse_form,
     classify_roots,
     deflate,
     find_roots,
     self_reciprocal_sign,
 )
+from quadrinomials.univalent import F_family, phi_k, quasi_extremal_W, suffridge_membership
 
 QUINTIC = RealPoly.of([1, 5 / 3, 0, 0, 5 / 3, 1])  # (1+z)^3 (1 - (4/3)z + z^2)
 
@@ -382,23 +388,108 @@ def _polish_by_polyval(c, z, budget):
     return best
 
 
-def test_polish_and_residuals_match_polyval_bitwise():
+def _solve(p):
+    try:
+        return False, find_roots(p)
+    except NoConvergence as exc:
+        return True, exc.best
+
+
+def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
+    """Dense terms polish bit for bit as npp.polyval does; a polish that takes the
+    sparse form of p or p' (the N = 12 p' and the N = 33 quadrinomials) meets the
+    solver contract against the all-dense solve instead: the same NoConvergence
+    status and multiplicities, roots within 1e-10 * max(1, |z|) and residuals
+    within residual_scale.  Every residual keeps the npp.polyval bits."""
     rng = np.random.default_rng(409)
     polys = [RealPoly.of(rng.normal(size=int(rng.integers(2, 40)))) for _ in range(40)]
     polys += [build_quadrinomial(QuadSpec(f, k, N)) for f in "PQ" for k in (-1, 0.4, 1.2) for N in (5, 12, 33)]
     polys.append(QUINTIC)
+    sparse_path = 0
     for p in polys:
         c = p.as_array()
         seeds = npp.polyroots(c).astype(complex)
-        assert _same_bits(_polish(_TaylorChain(c), seeds, 500), _polish_by_polyval(c, seeds, 500))
-        try:
-            rs = find_roots(p)
-        except NoConvergence as exc:
-            rs = exc.best
+        if _sparse_form(c) is None and _sparse_form(_TaylorChain(c)[1]) is None:
+            assert _same_bits(_polish(_TaylorChain(c), seeds, 500), _polish_by_polyval(c, seeds, 500))
+            failed, rs = _solve(p)
+        else:
+            sparse_path += 1
+            with monkeypatch.context() as m:
+                m.setattr(polycore, "_SPARSE_SHARE", 0.0)
+                dense_failed, dense = _solve(p)
+            failed, rs = _solve(p)
+            assert failed == dense_failed
+            assert [r.multiplicity for r in rs.roots] == [r.multiplicity for r in dense.roots]
+            for got, want in zip(rs.roots, dense.roots):
+                assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
+                assert failed or got.residual <= SolverOptions().residual_scale
         values = np.array(rs.values())
         scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c)) + 1.0
         expected = np.abs(npp.polyval(values, c)) / scale
         assert _same_bits([r.residual for r in rs.roots], expected)
+    assert sparse_path == 12
+
+
+def _sparse_vector(kind, N, kappa, k):
+    """A coefficient vector of degree about N with few nonzero terms."""
+    odd = max(5, N | 1)
+    if kind == "phi_k":
+        return phi_k(odd, 1 + k % odd).as_array()
+    if kind == "W":
+        return quasi_extremal_W(odd).as_array()
+    if kind == "p''/2":  # the Taylor term t_2 that certification evaluates: no constant term
+        return _TaylorChain(_sparse_vector("p", N, kappa, k))[2]
+    return _sparse(N, {
+        "p": [(0, 1.0), (1, kappa), (N - 1, kappa), (N, 1.0)],
+        "q": [(0, 1.0), (1, kappa), (N - 1, -kappa), (N, -1.0)],
+        "p'": [(0, kappa), (N - 2, kappa * (N - 1)), (N - 1, N)],
+        "trinomial": [(0, -kappa / N), (1, -kappa * (N - 1) / N), (N, 1.0)],
+    }[kind])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["p", "q", "p'", "p''/2", "trinomial", "phi_k", "W"]),
+    N=st.integers(3, 1000),
+    kappa=st.floats(-3.0, 3.0),
+    k=st.integers(0, 1000),
+    log_radius=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
+)
+def test_sparse_evaluation_within_forward_error_bound(kind, N, kappa, k, log_radius, angles):
+    """The sparse form against npp.polyval, at an array and at each scalar point.
+
+    Horner's forward error in complex arithmetic is at most about
+    4 (n+1) u sum_j |c_j| |z|^j (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 5.1), and binary powering keeps the sparse form under
+    the same bound, so the two differ by at most 8 (n+1) u sum_j |c_j| |z|^j.
+    The radius is capped where |z|^n would overflow in both.
+    """
+    c = _sparse_vector(kind, N, kappa, k)
+    n = len(c) - 1
+    e = np.flatnonzero(c)
+    form = (e.tolist(), c[e].tolist())
+    z = 10.0 ** min(log_radius, 300.0 / n) * np.exp(1j * np.array(angles))
+    bound = 8 * (n + 1) * np.finfo(float).eps / 2 * npp.polyval(np.abs(z), np.abs(c))
+    want = npp.polyval(z, c)
+    assert np.all(np.abs(_evaluate(c, form, {1: z}) - want) <= bound)
+    for zi, wi, bi in zip(z.tolist(), want, bound):
+        assert abs(_evaluate(c, form, {1: zi}) - wi) <= bi
+    if 4 * len(e) <= len(c):  # the polish takes this form
+        assert _sparse_form(c) == form
+
+
+def test_dense_kernels_keep_the_horner_path(monkeypatch):
+    """The Suffridge kernels of F_family are dense, so no evaluation of theirs
+    takes the sparse form; a sparse quadrinomial does."""
+    def no_sparse(powers, g):
+        raise AssertionError("sparse evaluation")
+
+    monkeypatch.setattr(polycore, "_power", no_sparse)
+    for s, N in ((0, 11), (1, 21), (2, 15), (3, 12), (4, 32)):
+        assert suffridge_membership(F_family(s, N), N - 1)
+    with pytest.raises(AssertionError, match="sparse evaluation"):
+        find_roots(build_quadrinomial(QuadSpec("P", 0.4, 33)))
 
 
 def _union_find(dist, radius):
