@@ -30,7 +30,6 @@ from .polycore import (
     Root,
     RootNotPresent,
     RootSet,
-    SolverOptions,
     classify_roots,
     deflate,
     find_roots,

@@ -18,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebyshev import positive_roots_U, positive_roots_U_prime
-from .polycore import RealPoly, SolverOptions, find_roots
+from .polycore import RealPoly, find_roots
+
+CRITERION_TOL = 1e-6  # verify_criterion: largest ||z| - 1| counted as on the circle
 
 
 class NotALimitCase(ValueError):
@@ -93,31 +95,51 @@ def _bit_reversed(k: int) -> list[int]:
     return sorted(range(k), key=rev)
 
 
-def build_quadrinomial(spec: QuadSpec) -> RealPoly:
-    kap = float(spec.kappa)
-    c = [0.0] * (spec.N + 1)
-    c[0] = 1.0
-    c[1] += kap
-    if spec.family == "P":
-        c[spec.N - 1] += kap
-        c[spec.N] += 1.0
-    else:
-        c[spec.N - 1] += -kap
-        c[spec.N] += -1.0
+def _mirrored(degree: int, low, sign: float) -> RealPoly:
+    """sum_j low[j] (z^j + sign z^(degree-j)), with sign +1 or -1."""
+    c = [0.0] * (degree + 1)
+    for j, v in enumerate(low):
+        c[j] += v
+        c[degree - j] += sign * v
     return RealPoly.of(c)
+
+
+def build_quadrinomial(spec: QuadSpec) -> RealPoly:
+    return _mirrored(spec.N, (1.0, float(spec.kappa)), 1.0 if spec.family == "P" else -1.0)
+
+
+class _End(NamedTuple):
+    """One end of the kappa interval: kappa = sign * (N/(N-2) if edge else 1).
+    The factorization there is the linear parts (root, multiplicity) times
+    quadratics 1 + z^2 - 2cz with c = cos_sign * (mapped zero of U'_{N-2} if
+    edge else of U_{N-2})."""
+
+    sign: int
+    edge: bool
+    linear: tuple[tuple[int, int], ...]
+    cos_sign: int
+
+
+_ENDS = {  # (family, N odd) -> (lower end, upper end)
+    ("P", False): (_End(-1, False, ((1, 2),), -1), _End(1, False, ((-1, 2),), 1)),
+    ("P", True): (_End(-1, False, ((-1, 1), (1, 2)), -1), _End(1, True, ((-1, 3),), 1)),
+    ("Q", False): (_End(-1, True, ((-1, 1), (1, 3)), -1), _End(1, True, ((1, 1), (-1, 3)), 1)),
+    ("Q", True): (_End(-1, True, ((1, 3),), -1), _End(1, False, ((1, 1), (-1, 2)), -1)),
+}
+
+
+def _end_kappa(end: _End, N: int) -> Fraction:
+    return Fraction(end.sign * N, N - 2) if end.edge else Fraction(end.sign)
 
 
 def kappa_limits(family: str, N: int) -> tuple[Fraction, Fraction]:
     """Closed kappa interval on which all zeros lie on the unit circle."""
     if N < 3:
         raise ValueError("N must be >= 3")
-    fam = family.upper()
-    edge = Fraction(N, N - 2)
-    if fam == "P":
-        return (Fraction(-1), Fraction(1) if N % 2 == 0 else edge)
-    if fam == "Q":
-        return (-edge, Fraction(1) if N % 2 == 1 else edge)
-    raise ValueError("family must be P or Q")
+    ends = _ENDS.get((family.upper(), N % 2 == 1))
+    if ends is None:
+        raise ValueError("family must be P or Q")
+    return (_end_kappa(ends[0], N), _end_kappa(ends[1], N))
 
 
 def circle_criterion(spec: QuadSpec) -> bool:
@@ -131,17 +153,15 @@ class CriterionCheck(NamedTuple):
     worst_deviation: float
 
 
-def verify_criterion(
-    spec: QuadSpec, circle_tol: float = 1e-6, options: SolverOptions | None = None
-) -> CriterionCheck:
+def verify_criterion(spec: QuadSpec) -> CriterionCheck:
     """Cross-check the interval rule against the actually computed roots."""
-    rs = find_roots(build_quadrinomial(spec), options)
+    rs = find_roots(build_quadrinomial(spec))
     worst = max(abs(abs(r.value) - 1.0) for r in rs.roots)
-    return CriterionCheck(circle_criterion(spec), worst <= circle_tol, worst)
+    return CriterionCheck(circle_criterion(spec), worst <= CRITERION_TOL, worst)
 
 
 def factorize_limit_case(spec: QuadSpec) -> FactoredForm:
-    """Closed-form factorization at the eight tabulated endpoint cases.
+    """Closed-form factorization at the two ends of the kappa interval (_ENDS).
 
     Quadratic cosines come from the mapped zeros 1 - 2x^2 of U_{N-2}
     (kappa = +/-1 cases) or U'_{N-2} (kappa = +/-N/(N-2) cases).  Dispatch
@@ -151,40 +171,14 @@ def factorize_limit_case(spec: QuadSpec) -> FactoredForm:
     if kap is None:
         raise NotALimitCase("limit-case dispatch requires exact rational kappa")
     N = spec.N
-    odd = N % 2 == 1
-    edge = Fraction(N, N - 2)
-
-    def beta():
-        return positive_roots_U(N - 2).mapped
-
-    def gamma():
-        return positive_roots_U_prime(N - 2).mapped if N >= 4 else ()
-
-    if spec.family == "P":
-        if kap == -1:
-            linear = ((-1, 1), (1, 2)) if odd else ((1, 2),)
-            quadratics = tuple(-b for b in beta())
-        elif kap == 1 and not odd:
-            linear = ((-1, 2),)
-            quadratics = tuple(beta())
-        elif kap == edge and odd:
-            linear = ((-1, 3),)
-            quadratics = tuple(gamma())
-        else:
-            raise NotALimitCase(f"no tabulated case for P, kappa={kap}, N={N}")
-    else:
-        if kap == -edge:
-            linear = ((1, 3),) if odd else ((-1, 1), (1, 3))
-            quadratics = tuple(-g for g in gamma())
-        elif kap == edge and not odd:
-            linear = ((1, 1), (-1, 3))
-            quadratics = tuple(gamma())
-        elif kap == 1 and odd:
-            linear = ((1, 1), (-1, 2))
-            quadratics = tuple(-b for b in beta())
-        else:
-            raise NotALimitCase(f"no tabulated case for Q, kappa={kap}, N={N}")
-    return FactoredForm(linear, quadratics, 1.0)
+    for end in _ENDS[spec.family, N % 2 == 1]:
+        if kap == _end_kappa(end, N):
+            if end.edge:
+                cosines = positive_roots_U_prime(N - 2).mapped if N >= 4 else ()
+            else:
+                cosines = positive_roots_U(N - 2).mapped
+            return FactoredForm(end.linear, tuple(end.cos_sign * c for c in cosines), 1.0)
+    raise NotALimitCase(f"no tabulated case for {spec.family}, kappa={kap}, N={N}")
 
 
 def verify_factorization(spec: QuadSpec) -> float:

@@ -17,6 +17,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 DEFLATION_TOL = 1e-9
+MAX_ITERATIONS = 500  # Newton polish steps per find_roots call
+RESIDUAL_SCALE = 1e-12  # largest backward error find_roots accepts
+CLUSTER_RADIUS = 1e-6  # polished points this close merge without a test
+SUSPICION_RADIUS = 5e-3  # clusters this close merge if the multiple root is certified
+RECIPROCAL_TOL = 1e-12  # self_reciprocal_sign, relative to max |c_j|
+CLASSIFY_TOL = 1e-8  # classify_roots' circle band for simple roots; 1e-5 for multiple ones
 STALL_PATIENCE = 5  # polish iterations with no seed improving before stopping
 _SPARSE_SHARE = 0.25  # terms this sparse are evaluated sparsely: 2.4x+ faster; Horner wins at 0.6+
 
@@ -142,14 +148,6 @@ class RootSet:
         for r in self.roots:
             out.extend([r.value] * r.multiplicity)
         return out
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 500
-    residual_scale: float = 1e-12
-    cluster_radius: float = 1e-6
-    suspicion_radius: float = 5e-3
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -288,9 +286,7 @@ def _newton_scalar(chain: _TaylorChain, m: int, z: complex, iters: int) -> compl
     return z
 
 
-def _confirm_multiple(
-    chain: _TaylorChain, z0: complex, members: np.ndarray, m: int, opts: SolverOptions
-) -> complex | None:
+def _confirm_multiple(chain: _TaylorChain, z0: complex, members: np.ndarray, m: int) -> complex | None:
     """Try to certify a multiplicity-m root near z0.
 
     Refines z0 against t_{m-1}, where the root is simple, then demands that
@@ -310,34 +306,34 @@ def _confirm_multiple(
         eps = 1e-15 * _abs_scale(chain[0], z)
         scatter = 20.0 * (eps / lead) ** (1.0 / m)
     else:
-        scatter = opts.suspicion_radius
-    limit = max(opts.cluster_radius, min(scatter, 2 * opts.suspicion_radius))
+        scatter = SUSPICION_RADIUS
+    limit = max(CLUSTER_RADIUS, min(scatter, 2 * SUSPICION_RADIUS))
     if np.any(np.abs(members - z) > limit):
         return None
     return z
 
 
-def _merge_clusters(chain: _TaylorChain, polished: np.ndarray, opts: SolverOptions):
+def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
     """Two-stage clustering: unconditional tight merge, then certified wide merge."""
     dist = np.abs(polished[:, None] - polished[None, :])
-    if np.count_nonzero(dist <= max(opts.cluster_radius, opts.suspicion_radius)) == len(dist):
+    if np.count_nonzero(dist <= max(CLUSTER_RADIUS, SUSPICION_RADIUS)) == len(dist):
         return [(complex(v), 1) for v in polished]  # neither stage has a pair to merge
     groups: list[tuple[complex, int, np.ndarray]] = []
-    for comp in _components(dist <= opts.cluster_radius):
+    for comp in _components(dist <= CLUSTER_RADIUS):
         members = polished[comp]
         m = len(comp)
         center = complex(members[0] if m == 1 else members.mean())  # one point: no mean needed
-        refined = _confirm_multiple(chain, center, members, m, opts) if m > 1 else None
+        refined = _confirm_multiple(chain, center, members, m) if m > 1 else None
         groups.append((center if refined is None else refined, m, members))
 
     centers = np.array([g[0] for g in groups])
     merged: list[tuple[complex, int]] = []
-    for comp in _components(np.abs(centers[:, None] - centers[None, :]) <= opts.suspicion_radius):
+    for comp in _components(np.abs(centers[:, None] - centers[None, :]) <= SUSPICION_RADIUS):
         refined = None
         if len(comp) > 1:
             members = np.concatenate([groups[i][2] for i in comp])
             total = sum(groups[i][1] for i in comp)
-            refined = _confirm_multiple(chain, complex(members.mean()), members, total, opts)
+            refined = _confirm_multiple(chain, complex(members.mean()), members, total)
         if refined is not None:
             merged.append((refined, total))
         else:
@@ -345,7 +341,24 @@ def _merge_clusters(chain: _TaylorChain, polished: np.ndarray, opts: SolverOptio
     return merged
 
 
-def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
+def _backward_errors(c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """|p(z)| / (sum_j |c_j| max(1,|z|)^j + 1) at each z.
+
+    Where the scale overflows (|z|^n with n = len(c) - 1), the same ratio
+    divided through by |z|^n: |sum_j c_{n-j} w^j| / (sum_j |c_{n-j}| |w|^j + |w|^n)
+    at w = 1/z.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed points are redone below
+        scale = _abs_scale(c, values)
+        out = np.abs(_horner(c, values)) / scale
+    far = np.isinf(scale)
+    if far.any():
+        w, rev = 1.0 / values[far], c[::-1]
+        out[far] = np.abs(_horner(rev, w)) / (_horner(np.abs(rev), np.abs(w)) + np.abs(w) ** (len(c) - 1))
+    return out
+
+
+def find_roots(p: RealPoly) -> RootSet:
     """All complex roots of p with multiplicities and backward errors.
 
     Exact zero roots are stripped first; the rest are companion-matrix seeds
@@ -356,9 +369,8 @@ def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
     by at most r.  A bound tied to |p|_inf alone is unattainable for roots
     of modulus much above 1, where the evaluation noise floor grows like
     eps * sum |c_j| |z|^j.  Raises NoConvergence (with the best RootSet
-    attached) when some residual exceeds ``residual_scale``.
+    attached) when some residual exceeds RESIDUAL_SCALE or is not finite.
     """
-    opts = options or SolverOptions()
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     c = p.as_array()
@@ -370,30 +382,30 @@ def find_roots(p: RealPoly, options: SolverOptions | None = None) -> RootSet:
     if len(work) > 1:
         seeds = np.atleast_1d(npp.polyroots(work))
         chain = _TaylorChain(work)
-        polished = _polish(chain, seeds.astype(complex), opts.max_iterations)
-        pairs.extend(_merge_clusters(chain, polished, opts))
+        polished = _polish(chain, seeds.astype(complex), MAX_ITERATIONS)
+        pairs.extend(_merge_clusters(chain, polished))
 
     values = np.array([v for v, _ in pairs], dtype=complex)
-    residuals = np.abs(_horner(c, values)) / _abs_scale(c, values)
+    residuals = _backward_errors(c, values)
     roots = [Root(complex(v), m, float(res)) for (v, m), res in zip(pairs, residuals)]
     roots.sort(key=lambda r: (cmath.phase(r.value), abs(r.value)))
     out = RootSet(tuple(roots), sum(r.multiplicity for r in roots))
     worst = float(residuals.max())
-    if worst > opts.residual_scale:
+    if not worst <= RESIDUAL_SCALE:  # a NaN fails too
         raise NoConvergence(
             f"worst backward error {worst:.3e} exceeds "
-            f"bound {opts.residual_scale:.3e}",
+            f"bound {RESIDUAL_SCALE:.3e}",
             best=out,
         )
     return out
 
 
-def self_reciprocal_sign(p: RealPoly, tol: float = 1e-12) -> int | None:
-    """+1 if palindromic, -1 if anti-palindromic, else None; tol is relative to max |c_j|."""
+def self_reciprocal_sign(p: RealPoly) -> int | None:
+    """+1 if palindromic, -1 if anti-palindromic, else None, to RECIPROCAL_TOL."""
     c = p.coeffs
     if not c:
         return None
-    atol = tol * max(abs(a) for a in c)
+    atol = RECIPROCAL_TOL * max(abs(a) for a in c)
     rev = c[::-1]
     if all(abs(a - b) <= atol for a, b in zip(c, rev)):
         return 1
@@ -408,15 +420,15 @@ class CircleCounts(NamedTuple):
     outside: int
 
 
-def classify_roots(rs: RootSet, circle_tol: float = 1e-8) -> CircleCounts:
-    """Bucket roots by |z| vs 1; multiple roots get a tolerance floor of 1e-5.
+def classify_roots(rs: RootSet) -> CircleCounts:
+    """Bucket roots by |z| vs 1 within CLASSIFY_TOL; multiple roots within 1e-5.
 
     A cluster of multiplicity m is only locatable to about eps**(1/m), so the
     circle band must widen once multiplicities appear.
     """
     on = inside = outside = 0
     for r in rs.roots:
-        tol = circle_tol if r.multiplicity == 1 else max(circle_tol, 1e-5)
+        tol = CLASSIFY_TOL if r.multiplicity == 1 else 1e-5
         d = abs(r.value) - 1.0
         if abs(d) <= tol:
             on += r.multiplicity

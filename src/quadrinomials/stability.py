@@ -17,7 +17,7 @@ import numpy as np
 from .families import QuadSpec, _exact_kappa
 from .polycore import RealPoly, find_roots, self_reciprocal_sign
 
-STRICTNESS_TOL = 1e-9
+DISK_TOL = 1e-9  # band around |z| = 1 that the disk tests ignore
 T_START_OFFSET = 1e-6
 SCHUR_GUARD = 1e-7
 
@@ -60,13 +60,13 @@ def trinomial(n: int, a: float, b: float) -> RealPoly:
 
 
 def trinomial_in_disk(n: int, a: float, b: float) -> bool:
-    """True iff every zero of z^n + a z^(n-1) + b has |z| < 1 - tol.
+    """True iff every zero of z^n + a z^(n-1) + b has |z| < 1 - DISK_TOL.
 
     Root-free unless a zero is within about SCHUR_GUARD of that circle.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _in_disk(trinomial(n, a, b), 1.0 - STRICTNESS_TOL, closed=False)
+    return _in_disk(trinomial(n, a, b), 1.0 - DISK_TOL, closed=False)
 
 
 def boundary_point(curve: str, n: int, t: float) -> tuple[float, float]:
@@ -151,15 +151,15 @@ def quadrinomial_derivative_line(spec: QuadSpec):
     return (n, a, b)
 
 
-def cohn_on_circle(p: RealPoly, tol: float = STRICTNESS_TOL) -> bool:
+def cohn_on_circle(p: RealPoly) -> bool:
     """All zeros of p on the unit circle, by Cohn's theorem.
 
     Requires p self-reciprocal (either sign) and every zero of p' inside the
-    closed unit disk (|z| <= 1 + tol), tested root-free unless a zero of p'
+    closed unit disk (|z| <= 1 + DISK_TOL), tested root-free unless a zero of p'
     is within about SCHUR_GUARD of that circle, as on every interval edge.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     if self_reciprocal_sign(p) is None:
         return False
-    return _in_disk(p.derivative(), 1.0 + tol, closed=True)
+    return _in_disk(p.derivative(), 1.0 + DISK_TOL, closed=True)

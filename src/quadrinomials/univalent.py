@@ -16,10 +16,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .chebyshev import positive_roots_U, positive_roots_U_prime
-from .families import FactoredForm
+from .families import FactoredForm, _mirrored
 from .polycore import RealPoly, deflate, find_roots
+from .stability import DISK_TOL
 
-INNER_TOL = 1e-9
 SCAN_CHUNK = 2048  # candidate pairs per simple_curve_scan chunk: ~200 KB of work arrays
 
 
@@ -62,7 +62,7 @@ def suffridge_membership(f: NormalizedPoly, n: int) -> bool:
 
     Kernel k is 1 + sum_j a_j (sin(j a_k)/sin(a_k)) z^(j-1) with
     a_k = k pi/(n+1); membership requires every kernel zero to satisfy
-    |z| >= 1 - INNER_TOL.
+    |z| >= 1 - DISK_TOL.
     """
     if f.poly.degree > n:
         raise ValueError("membership needs degree <= n")
@@ -75,7 +75,7 @@ def suffridge_membership(f: NormalizedPoly, n: int) -> bool:
         if kernel.degree < 1:
             continue
         rs = find_roots(kernel)
-        if any(abs(r.value) < 1.0 - INNER_TOL for r in rs.roots):
+        if any(abs(r.value) < 1.0 - DISK_TOL for r in rs.roots):
             return False
     return True
 
@@ -127,12 +127,8 @@ def tilde_p(N: int) -> NormalizedPoly:
     Satisfies (1+z)^2 tilde_p(z) = z p(z) at kappa = N/(N-2), family P.
     """
     _require_odd(N)
-    c = [0.0] * N
-    for j in range(1, (N - 1) // 2 + 1):
-        b = (-1.0) ** (j - 1) * (1.0 - 2.0 * (j - 1.0) / (N - 2.0))
-        c[j] += b
-        c[N - j] += b
-    return NormalizedPoly(RealPoly.of(c), N - 1)
+    half = [(-1.0) ** (j - 1) * (1.0 - 2.0 * (j - 1.0) / (N - 2.0)) for j in range(1, (N + 1) // 2)]
+    return NormalizedPoly(_mirrored(N, [0.0] + half, 1.0), N - 1)
 
 
 def F_family(s: int, N: int) -> NormalizedPoly:
@@ -175,31 +171,14 @@ def phi_k(N: int, k: int) -> RealPoly:
     if not 1 <= k <= N:
         raise ValueError("k must be in 1..N")
     alpha = k * math.pi / N
-    sgn = (-1.0) ** k
-    c = [0.0] * (N + 3)
-    c[0] += 1.0
-    c[N + 2] += -sgn
     mid = 2.0 * N / (N - 2.0) * math.cos(alpha)
-    c[1] += mid
-    c[N + 1] += -sgn * mid
-    top = (N + 2.0) / (N - 2.0)
-    c[2] += top
-    c[N] += -sgn * top
-    return RealPoly.of(c)
+    return _mirrored(N + 2, (1.0, mid, (N + 2.0) / (N - 2.0)), -((-1.0) ** k))
 
 
 def quasi_extremal_W(N: int) -> RealPoly:
     """(N-1)(N-2)(1 + z^(N+2)) + 2(N-2)(N+2)(z + z^(N+1)) + (N+1)(N+2)(z^2 + z^N)."""
     _require_odd(N)
-    c = [0.0] * (N + 3)
-    for offset, coeff in (
-        (0, (N - 1.0) * (N - 2.0)),
-        (1, 2.0 * (N - 2.0) * (N + 2.0)),
-        (2, (N + 1.0) * (N + 2.0)),
-    ):
-        c[offset] += coeff
-        c[N + 2 - offset] += coeff
-    return RealPoly.of(c)
+    return _mirrored(N + 2, ((N - 1.0) * (N - 2.0), 2.0 * (N - 2.0) * (N + 2.0), (N + 1.0) * (N + 2.0)), 1.0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ case that raises NoConvergence prints that and its ``best`` root set.
 every case keeps its NoConvergence status, its root count and its
 multiplicities in order; every root moves by at most
 1e-10 * max(1, |z|); and every residual of a converged case stays within
-``residual_scale``.  It prints the number of identical cases, the worst
+``polycore.RESIDUAL_SCALE``.  It prints the number of identical cases, the worst
 relative root move per multiplicity and the worst residual, and exits 1 on a
 breach.
 
@@ -44,7 +44,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits  # noqa: E402
-from quadrinomials.polycore import NoConvergence, RealPoly, SolverOptions, find_roots  # noqa: E402
+from quadrinomials.polycore import RESIDUAL_SCALE, NoConvergence, RealPoly, find_roots  # noqa: E402
 from quadrinomials.univalent import F_family, ParityMismatch, phi_k  # noqa: E402
 
 DEGREES = list(range(3, 102)) + [171, 201, 400]
@@ -122,7 +122,7 @@ def parse(path: str) -> list[tuple[str, bool, list[tuple[complex, int, float]]]]
 
 def compare(old_path: str, new_path: str) -> int:
     old, new = parse(old_path), parse(new_path)
-    bound = SolverOptions().residual_scale
+    bound = RESIDUAL_SCALE
     breaches: list[str] = []
     if [case[0] for case in old] != [case[0] for case in new]:
         breaches.append("the two outputs hold different cases")

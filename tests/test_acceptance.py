@@ -83,7 +83,7 @@ def test_criterion_2_criterion_equivalence_sweep(capsys):
             for kap in np.linspace(lo - 0.5, hi + 0.5, 81):
                 if abs(kap - lo) <= 1e-6 or abs(kap - hi) <= 1e-6:
                     continue
-                chk = verify_criterion(QuadSpec(fam, float(kap), N), circle_tol=1e-6)
+                chk = verify_criterion(QuadSpec(fam, float(kap), N))
                 checked += 1
                 if chk.predicted != chk.observed:
                     mismatches.append((fam, N, float(kap)))

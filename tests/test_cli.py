@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import argparse
+import numpy as np
 import pytest
 
 from quadrinomials import cli
@@ -169,8 +170,21 @@ def test_argparse_rejects_bad_usage(capsys):
     capsys.readouterr()
 
 
+def test_roots_json_is_strict_at_an_overflowing_root(capsys):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    # _polish warns on the |z|^N overflow at the root near -3; pytest turns that into an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, "roots", "--family", "P", "--kappa", "3", "--N", "1000", "--json")
+    assert code == 0
+    roots = json.loads(out, parse_constant=reject)["payload"]["roots"]
+    assert sum(r["multiplicity"] for r in roots) == 1000
+    assert max(r["residual"] for r in roots) <= 1e-12
+
+
 def test_numeric_failure_exit_code(capsys, monkeypatch):
-    def boom(p, options=None):
+    def boom(p):
         raise NoConvergence("stalled", RootSet((), p.degree))
 
     monkeypatch.setattr(cli, "find_roots", boom)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quadrinomials.chebyshev import positive_roots_U
 from quadrinomials.families import (
     FactoredForm,
     NotALimitCase,
@@ -158,6 +159,9 @@ def test_factor_Q_plus_one_odd():
     assert f.linear == ((1, 1), (-1, 2))
     assert_allclose(f.quadratics, [0.0], atol=1e-15)
     assert f.expand().coeffs == pytest.approx((1.0, 1.0, 0.0, 0.0, -1.0, -1.0), abs=1e-14)
+    # the mapped U_5 zeros form a set closed under negation; the sign still sets the order
+    f = factorize_limit_case(QuadSpec("Q", 1, 7))
+    assert f.quadratics == tuple(-c for c in positive_roots_U(5).mapped)
 
 
 def test_factor_rejects_non_limit_cases():
@@ -171,6 +175,18 @@ def test_factor_rejects_non_limit_cases():
         factorize_limit_case(QuadSpec("Q", -1, 4))
     with pytest.raises(NotALimitCase):
         factorize_limit_case(QuadSpec("Q", Fraction(1, 2), 5))
+    # The table and the interval agree: of -1, 1 and +/-N/(N-2), exactly the
+    # two ends of kappa_limits factor.
+    for N in range(3, 102):
+        edge = Fraction(N, N - 2)
+        for fam in "PQ":
+            ends = kappa_limits(fam, N)
+            for kap in (Fraction(-1), Fraction(1), -edge, edge):
+                if kap in ends:
+                    assert factorize_limit_case(QuadSpec(fam, kap, N)).degree == N
+                else:
+                    with pytest.raises(NotALimitCase):
+                        factorize_limit_case(QuadSpec(fam, kap, N))
 
 
 def _endpoint_specs(Ns):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from quadrinomials import polycore
-from quadrinomials.families import QuadSpec, build_quadrinomial
+from quadrinomials.families import QuadSpec, build_quadrinomial, verify_criterion
 from quadrinomials.polycore import (
     NoConvergence,
     RealPoly,
@@ -17,7 +18,6 @@ from quadrinomials.polycore import (
     RootNotPresent,
     STALL_PATIENCE,
     RootSet,
-    SolverOptions,
     _TaylorChain,
     _components,
     _evaluate,
@@ -29,6 +29,7 @@ from quadrinomials.polycore import (
     find_roots,
     self_reciprocal_sign,
 )
+from quadrinomials.stability import cohn_on_circle
 from quadrinomials.univalent import F_family, phi_k, quasi_extremal_W, suffridge_membership
 
 QUINTIC = RealPoly.of([1, 5 / 3, 0, 0, 5 / 3, 1])  # (1+z)^3 (1 - (4/3)z + z^2)
@@ -170,21 +171,24 @@ def test_find_roots_rejects_constants():
         find_roots(RealPoly.of([3.0]))
 
 
-def test_residual_bound_raises_and_reports_best():
+def test_residual_bound_raises_and_reports_best(monkeypatch):
+    monkeypatch.setattr(polycore, "RESIDUAL_SCALE", 1e-30)
     with pytest.raises(NoConvergence) as exc:
-        find_roots(QUINTIC, SolverOptions(residual_scale=1e-30))
+        find_roots(QUINTIC)
     assert exc.value.best is not None
     assert exc.value.best.total == 5
 
 
-def test_residual_is_the_backward_error_that_gates():
+def test_residual_is_the_backward_error_that_gates(monkeypatch):
     # A root of modulus 1.6: |p|/(1+|p|_inf) would overstate its backward error.
     p = RealPoly.of([6, -5, 1, 0, 2])
     worst = max(r.residual for r in find_roots(p).roots)
     assert worst > 0
-    find_roots(p, SolverOptions(residual_scale=worst))
+    monkeypatch.setattr(polycore, "RESIDUAL_SCALE", worst)
+    find_roots(p)
+    monkeypatch.setattr(polycore, "RESIDUAL_SCALE", 0.99 * worst)
     with pytest.raises(NoConvergence):
-        find_roots(p, SolverOptions(residual_scale=0.99 * worst))
+        find_roots(p)
 
 
 def test_taylor_chain_matches_raw_derivatives():
@@ -203,6 +207,32 @@ def test_find_roots_clean_at_high_degree(family, N):
         warnings.simplefilter("error")
         rs = find_roots(build_quadrinomial(QuadSpec(family, 0.3, N)))
     assert rs.total == N
+
+
+@pytest.mark.parametrize("kappa, N", [(3.0, 1000), (2.6, 1000), (30.0, 400)])
+def test_overflowing_root_gets_a_finite_backward_error(kappa, N):
+    # At the root near -kappa, |z|^N overflows, so the forward residual is inf/inf;
+    # the reversed coefficients at 1/z give the same backward error.  _polish still
+    # warns on this overflow, which pytest turns into errors, hence the errstate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs = find_roots(build_quadrinomial(QuadSpec("P", kappa, N)))
+    residuals = [r.residual for r in rs.roots]
+    assert rs.total == N
+    assert all(math.isfinite(r) and r <= polycore.RESIDUAL_SCALE for r in residuals)
+    far = [r for r in rs.roots if abs(r.value) > 2.0]
+    assert len(far) == 1 and abs(far[0].value + kappa) < 1e-12 * kappa
+    assert far[0].residual <= 4 * np.finfo(float).eps
+
+
+def test_non_finite_residual_fails_the_gate(monkeypatch):
+    monkeypatch.setattr(polycore, "_backward_errors", lambda c, values: np.full(len(values), np.nan))
+    with pytest.raises(NoConvergence):
+        find_roots(QUINTIC)
+
+
+def test_solver_and_circle_tests_take_no_tuning_arguments():
+    for fn in (find_roots, verify_criterion, classify_roots, self_reciprocal_sign, cohn_on_circle):
+        assert len(inspect.signature(fn).parameters) == 1, fn.__name__
 
 
 def _product_from_roots(real_roots, upper_roots, shuffle_rng):
@@ -285,7 +315,7 @@ def test_classify_inside_outside():
 
 def test_classify_multiplicity_relaxes_tolerance():
     rs = RootSet((Root(complex(1 + 5e-6, 0), 2, 0.0), Root(complex(1 + 5e-6, 0), 1, 0.0)), 3)
-    counts = classify_roots(rs, circle_tol=1e-8)
+    counts = classify_roots(rs)
     assert counts.on_circle == 2 and counts.outside == 1
 
 
@@ -400,7 +430,7 @@ def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
     sparse form of p or p' (the N = 12 p' and the N = 33 quadrinomials) meets the
     solver contract against the all-dense solve instead: the same NoConvergence
     status and multiplicities, roots within 1e-10 * max(1, |z|) and residuals
-    within residual_scale.  Every residual keeps the npp.polyval bits."""
+    within RESIDUAL_SCALE.  Every residual keeps the npp.polyval bits."""
     rng = np.random.default_rng(409)
     polys = [RealPoly.of(rng.normal(size=int(rng.integers(2, 40)))) for _ in range(40)]
     polys += [build_quadrinomial(QuadSpec(f, k, N)) for f in "PQ" for k in (-1, 0.4, 1.2) for N in (5, 12, 33)]
@@ -422,7 +452,7 @@ def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
             assert [r.multiplicity for r in rs.roots] == [r.multiplicity for r in dense.roots]
             for got, want in zip(rs.roots, dense.roots):
                 assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
-                assert failed or got.residual <= SolverOptions().residual_scale
+                assert failed or got.residual <= polycore.RESIDUAL_SCALE
         values = np.array(rs.values())
         scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c)) + 1.0
         expected = np.abs(npp.polyval(values, c)) / scale
@@ -539,12 +569,15 @@ def test_components_match_union_find():
     assert seen_chain and seen_singletons
 
 
-def test_tight_merge_uses_the_larger_radius():
-    # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside cluster_radius but
-    # outside suspicion_radius, so the tight stage merges it unconditionally.
+def test_tight_merge_uses_the_larger_radius(monkeypatch):
+    # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside CLUSTER_RADIUS but
+    # outside SUSPICION_RADIUS, so the tight stage merges it unconditionally.
     p = RealPoly.of(npp.polyfromroots([1.0, 1.001, -2.0]))
-    with pytest.raises(NoConvergence) as exc:
-        find_roots(p, SolverOptions(cluster_radius=1e-2, suspicion_radius=1e-4))
+    with monkeypatch.context() as m:
+        m.setattr(polycore, "CLUSTER_RADIUS", 1e-2)
+        m.setattr(polycore, "SUSPICION_RADIUS", 1e-4)
+        with pytest.raises(NoConvergence) as exc:
+            find_roots(p)
     best = exc.value.best
     assert best.total == 3
     assert sorted(r.multiplicity for r in best.roots) == [1, 2]

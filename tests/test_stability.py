@@ -19,7 +19,7 @@ from quadrinomials.families import (
 )
 from quadrinomials.polycore import RealPoly, find_roots
 from quadrinomials.stability import (
-    STRICTNESS_TOL,
+    DISK_TOL,
     T_START_OFFSET,
     _schur_cohn,
     boundary_point,
@@ -232,8 +232,8 @@ def _root_decisions(spec):
     """(Cohn, trinomial) verdicts from the zeros of p' themselves."""
     moduli = [abs(r.value) for r in find_roots(build_quadrinomial(spec).derivative()).roots]
     return (
-        all(m <= 1.0 + STRICTNESS_TOL for m in moduli),
-        all(m < 1.0 - STRICTNESS_TOL for m in moduli),
+        all(m <= 1.0 + DISK_TOL for m in moduli),
+        all(m < 1.0 - DISK_TOL for m in moduli),
     )
 
 
@@ -266,7 +266,7 @@ def test_cohn_true_on_every_endpoint_case():
         for fam, kap in kappas:
             p = build_quadrinomial(QuadSpec(fam, Fraction(kap), N))
             # p' has zeros on the circle, which Schur-Cohn leaves to find_roots
-            assert _schur_cohn(p.derivative().coeffs, 1.0 + STRICTNESS_TOL) is None
+            assert _schur_cohn(p.derivative().coeffs, 1.0 + DISK_TOL) is None
             assert cohn_on_circle(p), (fam, kap, N)
 
 
@@ -280,6 +280,6 @@ def test_disk_tests_clean_at_high_degree(family, N, kappa):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # both stay on the Schur-Cohn path, whose monic step divides by 1 - k^2
-        assert _schur_cohn(p.derivative().coeffs, 1.0 + STRICTNESS_TOL) is not None
-        assert _schur_cohn(trinomial(*line).coeffs, 1.0 - STRICTNESS_TOL) is not None
+        assert _schur_cohn(p.derivative().coeffs, 1.0 + DISK_TOL) is not None
+        assert _schur_cohn(trinomial(*line).coeffs, 1.0 - DISK_TOL) is not None
         assert cohn_on_circle(p) == trinomial_in_disk(*line) == (kappa == 0.3)
