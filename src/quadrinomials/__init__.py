@@ -6,8 +6,6 @@ stability domain, and the associated univalent polynomial families.
 from .chebyshev import (
     BracketFailure,
     ChebRootList,
-    cheb_U,
-    cheb_U_prime,
     positive_roots_U,
     positive_roots_U_prime,
 )
@@ -28,10 +26,8 @@ from .polycore import (
     NoConvergence,
     RealPoly,
     Root,
-    RootNotPresent,
     RootSet,
     classify_roots,
-    deflate,
     find_roots,
     self_reciprocal_sign,
 )

@@ -22,7 +22,7 @@ from .families import (
     verify_criterion,
     verify_factorization,
 )
-from .polycore import NoConvergence, RealPoly, RootNotPresent, classify_roots, find_roots, self_reciprocal_sign
+from .polycore import NoConvergence, RealPoly, classify_roots, find_roots, self_reciprocal_sign
 from .stability import cohn_on_circle, stability_boundary
 from .univalent import (
     ParityMismatch,
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (NotALimitCase, ParityMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, RootNotPresent) as exc:
+    except NoConvergence as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     params = {}

@@ -40,7 +40,11 @@ class QuadSpec:
         object.__setattr__(self, "family", fam)
         if not isinstance(self.N, int) or self.N < 3:
             raise ValueError("N must be an integer >= 3")
-        if isinstance(self.kappa, float) and not math.isfinite(self.kappa):
+        try:
+            finite = math.isfinite(float(self.kappa))
+        except OverflowError:  # an exact kappa beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("kappa must be finite")
 
 

@@ -16,10 +16,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-DEFLATION_TOL = 1e-9
 MAX_ITERATIONS = 500  # Newton polish steps per find_roots call
 RESIDUAL_SCALE = 1e-12  # largest backward error find_roots accepts
-CLUSTER_RADIUS = 1e-6  # polished points this close merge without a test
+CLUSTER_RADIUS = 1e-6  # polished points this close merge; find_roots refuses a merge left uncertified
 SUSPICION_RADIUS = 5e-3  # clusters this close merge if the multiple root is certified
 RECIPROCAL_TOL = 1e-12  # self_reciprocal_sign, relative to max |c_j|
 CLASSIFY_TOL = 1e-8  # classify_roots' circle band for simple roots; 1e-5 for multiple ones
@@ -27,12 +26,9 @@ STALL_PATIENCE = 5  # polish iterations with no seed improving before stopping
 _SPARSE_SHARE = 0.25  # terms this sparse are evaluated sparsely: 2.4x+ faster; Horner wins at 0.6+
 
 
-class RootNotPresent(ArithmeticError):
-    """Synthetic division left a remainder larger than the deflation tolerance."""
-
-
 class NoConvergence(ArithmeticError):
-    """The solver missed its residual bound; ``best`` holds the best iterate."""
+    """The solver missed its residual bound or could not certify a multiple root;
+    ``best`` holds the best iterate."""
 
     def __init__(self, message: str, best: "RootSet | None" = None):
         super().__init__(message)
@@ -71,12 +67,7 @@ class RealPoly:
         """Evaluate at a scalar or ndarray of points (Horner)."""
         if not self.coeffs:
             return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
-        if isinstance(z, np.ndarray):
-            return npp.polyval(z, self.as_array())
-        acc = 0j if isinstance(z, complex) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return npp.polyval(z, self.as_array())
 
     def derivative(self) -> "RealPoly":
         return RealPoly.of(j * c for j, c in enumerate(self.coeffs) if j > 0)
@@ -102,32 +93,6 @@ class RealPoly:
         return RealPoly.of(factor * v for v in self.coeffs)
 
 
-def deflate(p: RealPoly, root: float, multiplicity: int) -> RealPoly:
-    """Divide p by (z - root)^multiplicity using synthetic division.
-
-    Each stage checks its remainder against DEFLATION_TOL * (1 + |stage|_inf)
-    and raises RootNotPresent when the claimed root is not actually there.
-    """
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be positive")
-    c = list(p.coeffs)
-    for _ in range(multiplicity):
-        if len(c) < 2:
-            raise RootNotPresent(f"degree too low to remove root {root}")
-        scale = 1.0 + max(abs(v) for v in c)
-        q = [0.0] * (len(c) - 1)
-        acc = c[-1]
-        for j in range(len(c) - 2, -1, -1):
-            q[j] = acc
-            acc = c[j] + root * acc
-        if abs(acc) > DEFLATION_TOL * scale:
-            raise RootNotPresent(
-                f"remainder {abs(acc):.3e} at root {root} exceeds tolerance"
-            )
-        c = q
-    return RealPoly.of(c)
-
-
 @dataclass(frozen=True)
 class Root:
     value: complex
@@ -139,15 +104,6 @@ class Root:
 class RootSet:
     roots: tuple[Root, ...]
     total: int
-
-    def values(self) -> list[complex]:
-        return [r.value for r in self.roots]
-
-    def with_multiplicity(self) -> list[complex]:
-        out: list[complex] = []
-        for r in self.roots:
-            out.extend([r.value] * r.multiplicity)
-        return out
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -314,30 +270,35 @@ def _confirm_multiple(chain: _TaylorChain, z0: complex, members: np.ndarray, m: 
 
 
 def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
-    """Two-stage clustering: unconditional tight merge, then certified wide merge."""
+    """Two-stage clustering: a tight merge within CLUSTER_RADIUS, then a wide merge
+    within SUSPICION_RADIUS that holds only if the multiple root is certified.
+
+    Returns (root, multiplicity, certified) triples.  A tight cluster that
+    _confirm_multiple refuses keeps its count but comes back uncertified.
+    """
     dist = np.abs(polished[:, None] - polished[None, :])
     if np.count_nonzero(dist <= max(CLUSTER_RADIUS, SUSPICION_RADIUS)) == len(dist):
-        return [(complex(v), 1) for v in polished]  # neither stage has a pair to merge
-    groups: list[tuple[complex, int, np.ndarray]] = []
+        return [(complex(v), 1, True) for v in polished]  # neither stage has a pair to merge
+    groups: list[tuple[complex, int, bool, np.ndarray]] = []
     for comp in _components(dist <= CLUSTER_RADIUS):
         members = polished[comp]
         m = len(comp)
         center = complex(members[0] if m == 1 else members.mean())  # one point: no mean needed
         refined = _confirm_multiple(chain, center, members, m) if m > 1 else None
-        groups.append((center if refined is None else refined, m, members))
+        groups.append((center if refined is None else refined, m, m == 1 or refined is not None, members))
 
     centers = np.array([g[0] for g in groups])
-    merged: list[tuple[complex, int]] = []
+    merged: list[tuple[complex, int, bool]] = []
     for comp in _components(np.abs(centers[:, None] - centers[None, :]) <= SUSPICION_RADIUS):
         refined = None
         if len(comp) > 1:
-            members = np.concatenate([groups[i][2] for i in comp])
+            members = np.concatenate([groups[i][3] for i in comp])
             total = sum(groups[i][1] for i in comp)
             refined = _confirm_multiple(chain, complex(members.mean()), members, total)
         if refined is not None:
-            merged.append((refined, total))
+            merged.append((refined, total, True))
         else:
-            merged.extend((groups[i][0], groups[i][1]) for i in comp)
+            merged.extend(groups[i][:3] for i in comp)
     return merged
 
 
@@ -369,27 +330,31 @@ def find_roots(p: RealPoly) -> RootSet:
     by at most r.  A bound tied to |p|_inf alone is unattainable for roots
     of modulus much above 1, where the evaluation noise floor grows like
     eps * sum |c_j| |z|^j.  Raises NoConvergence (with the best RootSet
-    attached) when some residual exceeds RESIDUAL_SCALE or is not finite.
+    attached) when some residual exceeds RESIDUAL_SCALE or is not finite, or
+    when a multiple root was not certified by _confirm_multiple.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     c = p.as_array()
     nz = int(np.argmax(c != 0.0))
-    pairs: list[tuple[complex, int]] = []
+    triples: list[tuple[complex, int, bool]] = []
     if nz:
-        pairs.append((0j, nz))
+        triples.append((0j, nz, True))  # exact zero roots need no certificate
     work = c[nz:]
     if len(work) > 1:
         seeds = np.atleast_1d(npp.polyroots(work))
         chain = _TaylorChain(work)
         polished = _polish(chain, seeds.astype(complex), MAX_ITERATIONS)
-        pairs.extend(_merge_clusters(chain, polished))
+        triples.extend(_merge_clusters(chain, polished))
 
-    values = np.array([v for v, _ in pairs], dtype=complex)
+    values = np.array([v for v, _, _ in triples], dtype=complex)
     residuals = _backward_errors(c, values)
-    roots = [Root(complex(v), m, float(res)) for (v, m), res in zip(pairs, residuals)]
+    roots = [Root(complex(v), m, float(res)) for (v, m, _), res in zip(triples, residuals)]
     roots.sort(key=lambda r: (cmath.phase(r.value), abs(r.value)))
     out = RootSet(tuple(roots), sum(r.multiplicity for r in roots))
+    for v, m, certified in triples:
+        if not certified:
+            raise NoConvergence(f"{m}-fold cluster at {v:.6g} failed certification", best=out)
     worst = float(residuals.max())
     if not worst <= RESIDUAL_SCALE:  # a NaN fails too
         raise NoConvergence(

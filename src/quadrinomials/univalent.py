@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npp
 
 from .chebyshev import positive_roots_U, positive_roots_U_prime
 from .families import FactoredForm, _mirrored
-from .polycore import RealPoly, deflate, find_roots
+from .polycore import NoConvergence, RealPoly, find_roots
 from .stability import DISK_TOL
 
 SCAN_CHUNK = 2048  # candidate pairs per simple_curve_scan chunk: ~200 KB of work arrays
@@ -185,7 +185,7 @@ def quasi_extremal_W(N: int) -> RealPoly:
 class WChecks:
     derivative_magnitudes: tuple[float, ...]  # |W^(k)(-1)| for k = 0..5
     scale: float  # |W|_inf
-    deflated_circle_deviation: float  # max ||z|-1| over roots of W/(1+z)^5
+    deflated_circle_deviation: float  # max ||z|-1| over the roots of W other than the 5-fold -1
     identity_deviation: float  # |F' (N-1)(N-2)(1+z)^4 - W|_inf
 
 
@@ -195,11 +195,13 @@ def quasi_extremal_checks(N: int) -> WChecks:
     mags = []
     d = w
     for _ in range(6):
-        mags.append(abs(d(-1.0)))
+        mags.append(abs(float(d(-1.0))))
         d = d.derivative()
-    reduced = deflate(w, -1.0, 5)
-    rs = find_roots(reduced)
-    circle_dev = max(abs(abs(r.value) - 1.0) for r in rs.roots)
+    rs = find_roots(w)
+    at_minus_one = min(rs.roots, key=lambda r: abs(r.value + 1.0))
+    if at_minus_one.multiplicity != 5:
+        raise NoConvergence(f"W has a root of multiplicity {at_minus_one.multiplicity} near -1, not 5", best=rs)
+    circle_dev = max(abs(abs(r.value) - 1.0) for r in rs.roots if r is not at_minus_one)
     f = F_family(0, N)
     quartic = RealPoly.of((1.0, 4.0, 6.0, 4.0, 1.0))
     lhs = (f.poly.derivative() * quartic).scaled((N - 1.0) * (N - 2.0))

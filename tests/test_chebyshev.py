@@ -8,11 +8,39 @@ from quadrinomials.chebyshev import (
     BracketFailure,
     ChebRootList,
     _newton_in_bracket,
-    cheb_U,
-    cheb_U_prime,
     positive_roots_U,
     positive_roots_U_prime,
 )
+
+
+# Scalar oracles for U_n and U'_n, independent of the closed forms and the
+# Newton iteration in quadrinomials.chebyshev.
+
+
+def cheb_U(n: int, x: float) -> float:
+    """U_n(x) by the three-term recurrence."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    prev, cur = 1.0, 2.0 * x
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def cheb_U_prime(n: int, x: float) -> float:
+    """d/dx U_n(x), switching to the exact limit near x = +/-1.
+
+    Away from the endpoints this is ((n+2) U_{n-1} - n U_{n+1}) / (2(1-x^2));
+    at x = +/-1 the limit is (+/-1)^(n-1) n(n+1)(n+2)/3.
+    """
+    if n < 1:
+        return 0.0
+    if abs(abs(x) - 1.0) <= 1e-8:
+        sign = 1.0 if x > 0 else (-1.0) ** (n - 1)
+        return sign * n * (n + 1) * (n + 2) / 3.0
+    return ((n + 2) * cheb_U(n - 1, x) - n * cheb_U(n + 1, x)) / (2.0 * (1.0 - x * x))
 
 
 def test_low_degree_closed_forms():

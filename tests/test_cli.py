@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quadrinomials import cli
-from quadrinomials.polycore import NoConvergence, RootSet
+from quadrinomials.families import QuadSpec, build_quadrinomial
+from quadrinomials.polycore import NoConvergence, RootSet, find_roots
 
 
 def run(capsys, *argv):
@@ -190,3 +191,21 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_roots", boom)
     code, _, err = run(capsys, "roots", "--family", "P", "--kappa", "1", "--N", "5")
     assert code == 3 and "numeric failure" in err
+
+
+@pytest.mark.parametrize("family, kappa, N", [("P", "1e16", 11), ("Q", "1e30", 5)])
+def test_uncertified_cluster_at_large_kappa_is_a_numeric_failure(capsys, family, kappa, N):
+    # The companion seeds collapse onto the root -1/kappa, a tight cluster that
+    # certification refuses; it used to come back as one multiple root and a
+    # wrong circle count with exit 0.
+    with pytest.raises(NoConvergence) as exc:
+        find_roots(build_quadrinomial(QuadSpec(family, float(kappa), N)))
+    assert max(r.multiplicity for r in exc.value.best.roots) > 1
+    code, out, err = run(capsys, "roots", "--family", family, "--kappa", kappa, "--N", str(N))
+    assert code == 3 and out == "" and "numeric failure" in err
+
+
+@pytest.mark.parametrize("command", ["roots", "criterion"])
+def test_exact_kappa_beyond_the_float_range_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--family", "P", "--kappa", "1" + "0" * 400, "--N", "5")
+    assert code == 2 and out == "" and "kappa must be finite" in err

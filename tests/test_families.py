@@ -32,8 +32,11 @@ def test_spec_validation():
         QuadSpec("P", 1, 2)
     with pytest.raises(ValueError):
         QuadSpec("P", 1, 5.0)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        QuadSpec("P", float("inf"), 5)
+    huge = 10**400  # exact, but beyond the float range
+    for kappa in (float("inf"), huge, Fraction(-huge), Fraction(huge, 3)):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            QuadSpec("P", kappa, 5)
+    assert QuadSpec("P", Fraction(10**300, 7), 5).kappa == Fraction(10**300, 7)
 
 
 def test_build_examples():

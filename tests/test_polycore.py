@@ -15,7 +15,6 @@ from quadrinomials.polycore import (
     NoConvergence,
     RealPoly,
     Root,
-    RootNotPresent,
     STALL_PATIENCE,
     RootSet,
     _TaylorChain,
@@ -25,7 +24,6 @@ from quadrinomials.polycore import (
     _polish,
     _sparse_form,
     classify_roots,
-    deflate,
     find_roots,
     self_reciprocal_sign,
 )
@@ -100,38 +98,9 @@ def test_multiply_commutative_degree_additive():
         assert (p * q).degree == p.degree + q.degree
 
 
-def test_deflate_triple_root():
-    assert_allclose(deflate(QUINTIC, -1.0, 3).coeffs, [1.0, -4 / 3, 1.0], atol=1e-12)
-
-
-def test_deflate_sign_convention():
-    # (1 - z^2) / (z - 1) = -(1 + z)
-    assert deflate(RealPoly.of([1, 0, -1]), 1.0, 1).coeffs == (-1.0, -1.0)
-
-
-def test_deflate_missing_root_raises():
-    with pytest.raises(RootNotPresent):
-        deflate(RealPoly.of([1, 0, 1]), 1.0, 1)
-
-
-def test_deflate_multiply_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        q = RealPoly.of(rng.normal(size=5))
-        if q.degree < 1:
-            continue
-        root = float(rng.choice([-1.0, 1.0]))
-        m = int(rng.integers(1, 4))
-        p = q
-        for _ in range(m):
-            p = p * RealPoly.of([-root, 1.0])
-        back = deflate(p, root, m)
-        assert_allclose(back.coeffs, q.coeffs, atol=1e-12 * (1 + p.norm_inf))
-
-
 def test_find_roots_conjugate_pair():
     rs = find_roots(RealPoly.of([1, 0, 1]))
-    vals = sorted(rs.values(), key=lambda z: z.imag)
+    vals = sorted((r.value for r in rs.roots), key=lambda z: z.imag)
     assert_allclose([vals[0].real, vals[0].imag], [0, -1], atol=1e-12)
     assert_allclose([vals[1].real, vals[1].imag], [0, 1], atol=1e-12)
 
@@ -155,7 +124,7 @@ def test_find_roots_triple_root_quintic():
     assert abs(triple[0].value + 1.0) < 1e-9
     pair = sorted((r.value for r in rs.roots if r.multiplicity == 1), key=lambda z: z.imag)
     assert_allclose([pair[1].real, pair[1].imag], [2 / 3, np.sqrt(5) / 3], atol=1e-12)
-    assert all(abs(abs(v) - 1.0) < 1e-9 for v in rs.values())
+    assert all(abs(abs(r.value) - 1.0) < 1e-9 for r in rs.roots)
 
 
 def test_find_roots_strips_zero_roots():
@@ -257,7 +226,7 @@ def test_reconstruction_degree_64():
     assert len(coeffs) == 65
 
     rs = find_roots(RealPoly.of(coeffs))
-    found = np.array(rs.with_multiplicity())
+    found = np.array([r.value for r in rs.roots for _ in range(r.multiplicity)])
     assert found.size == 64
     known = np.concatenate([real_roots.astype(complex), upper, np.conj(upper)])
     recovery = np.max(np.min(np.abs(found[:, None] - known[None, :]), axis=1))
@@ -453,7 +422,7 @@ def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
             for got, want in zip(rs.roots, dense.roots):
                 assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
                 assert failed or got.residual <= polycore.RESIDUAL_SCALE
-        values = np.array(rs.values())
+        values = np.array([r.value for r in rs.roots])
         scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c)) + 1.0
         expected = np.abs(npp.polyval(values, c)) / scale
         assert _same_bits([r.residual for r in rs.roots], expected)
@@ -571,7 +540,8 @@ def test_components_match_union_find():
 
 def test_tight_merge_uses_the_larger_radius(monkeypatch):
     # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside CLUSTER_RADIUS but
-    # outside SUSPICION_RADIUS, so the tight stage merges it unconditionally.
+    # outside SUSPICION_RADIUS, so the tight stage merges it; certification
+    # refuses the pair, and best keeps the merged cluster.
     p = RealPoly.of(npp.polyfromroots([1.0, 1.001, -2.0]))
     with monkeypatch.context() as m:
         m.setattr(polycore, "CLUSTER_RADIUS", 1e-2)

@@ -11,8 +11,9 @@ import pytest
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
+from quadrinomials import univalent
 from quadrinomials.families import QuadSpec, build_quadrinomial
-from quadrinomials.polycore import RealPoly, find_roots, self_reciprocal_sign
+from quadrinomials.polycore import NoConvergence, RealPoly, find_roots, self_reciprocal_sign
 from quadrinomials.univalent import (
     BoundaryImage,
     NormalizedPoly,
@@ -282,14 +283,29 @@ def test_W_frozen_coefficients():
 
 
 def test_W_checks():
-    for N in (5, 9, 13):
+    for N in (5, 9, 13, 101, 201):
         ch = quasi_extremal_checks(N)
         assert ch.derivative_magnitudes[:5] == (0.0,) * 5
         assert ch.derivative_magnitudes[5] > 1e-3 * ch.scale
-        assert ch.deflated_circle_deviation <= 1e-8
-        assert ch.identity_deviation <= 1e-11
+        assert ch.deflated_circle_deviation <= 1e-13
+        if N <= 13:
+            assert ch.identity_deviation <= 1e-11
     # N = 5: the fifth derivative at -1 is exactly 7!/1 = 5040
     assert quasi_extremal_checks(5).derivative_magnitudes[5] == 5040.0
+
+
+def test_W_checks_refuse_a_split_root_at_minus_one(monkeypatch):
+    # A relative 1e-6 change in the constant term splits the 5-fold root at -1
+    # into simple roots, so no deviation over "the other roots" is defined.
+    def perturbed(N):
+        c = list(quasi_extremal_W(N).coeffs)
+        c[0] *= 1.0 + 1e-6
+        return RealPoly.of(c)
+
+    monkeypatch.setattr(univalent, "quasi_extremal_W", perturbed)
+    for N in (5, 7, 21):
+        with pytest.raises(NoConvergence, match="multiplicity 1 near -1"):
+            quasi_extremal_checks(N)
 
 
 # ---------------------------------------------------------------------------
