@@ -12,6 +12,7 @@ from .chebyshev import (
 from .families import (
     FactoredForm,
     NotALimitCase,
+    ParityMismatch,
     QuadSpec,
     build_quadrinomial,
     circle_criterion,
@@ -45,7 +46,6 @@ from .univalent import (
     BoundaryImage,
     F_family,
     NormalizedPoly,
-    ParityMismatch,
     WChecks,
     alexander,
     alexander_derivative_factored,

@@ -1,6 +1,6 @@
 """Command line front end; every subcommand can emit JSON (--json) or text,
-optionally into a file (--out).  Exit codes: 0 ok, 2 bad arguments, 3 the
-numerics failed to converge.
+optionally into a file (--out).  Exit codes: 0 ok, 2 bad arguments or an
+--out file that cannot be opened, 3 the numerics failed to converge.
 """
 
 from __future__ import annotations
@@ -8,13 +8,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
 from .families import (
-    NotALimitCase,
     QuadSpec,
     build_quadrinomial,
     cusp_angles,
@@ -25,7 +25,6 @@ from .families import (
 from .polycore import NoConvergence, RealPoly, classify_roots, find_roots, self_reciprocal_sign
 from .stability import cohn_on_circle, stability_boundary
 from .univalent import (
-    ParityMismatch,
     F_family,
     alexander,
     alexander_derivative_factored,
@@ -144,11 +143,16 @@ def cmd_cusps(args):
     return {"N": args.N, "angles": angles, "differences": diffs}, lines
 
 
+def _csv_lines(table):
+    """The lines of table.to_csv, written only when the first one is asked for."""
+    buf = io.StringIO()
+    table.to_csv(buf)
+    yield from buf.getvalue().splitlines()
+
+
 def cmd_stability(args):
     cs = stability_boundary(args.n, args.samples)
-    buf = io.StringIO()
-    cs.to_csv(buf)
-    return {"n": cs.n, "t_range": cs.t_range, "curves": cs.curves}, buf.getvalue().splitlines()
+    return {"n": cs.n, "t_range": cs.t_range, "curves": cs.curves}, _csv_lines(cs)
 
 
 def cmd_cohn(args):
@@ -219,10 +223,8 @@ def cmd_univalent(args):
             "simple": simple,
             "samples": [[float(t), w.real, w.imag] for t, w in zip(img.ts, img.points)],
         }
-        buf = io.StringIO()
-        img.to_csv(buf)
         lines.append(f"boundary simple at resolution {args.boundary}: {simple}")
-        lines += buf.getvalue().splitlines()
+        lines = itertools.chain(lines, _csv_lines(img))
     return payload, lines
 
 
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines = args.func(args)
-    except (NotALimitCase, ParityMismatch, ValueError) as exc:
+    except ValueError as exc:  # NotALimitCase and ParityMismatch among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergence as exc:
@@ -297,7 +299,12 @@ def main(argv=None) -> int:
         # an optional argument left unset or 0 (univalent --boundary) stays out
         if spec.get("required") or value:
             params[flag[2:]] = str(value)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+    try:
+        target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with target as stream:
         if args.json:
             doc = {
                 "schema_version": SCHEMA_VERSION,

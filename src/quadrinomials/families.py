@@ -27,6 +27,15 @@ class NotALimitCase(ValueError):
     """The (family, kappa, parity) combination has no tabulated factorization."""
 
 
+class ParityMismatch(ValueError):
+    """The requested family variant needs the other parity of N."""
+
+
+def _require_odd(N: int):
+    if N % 2 == 0 or N < 5:
+        raise ParityMismatch(f"N must be odd and >= 5, got {N}")
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     family: str  # "P" or "Q"
@@ -197,6 +206,5 @@ def cusp_angles(N: int) -> list[float]:
     These locate the boundary cusps of the endpoint quadrinomial; their
     consecutive differences are close to but not exactly equal.
     """
-    if N % 2 == 0 or N < 5:
-        raise ValueError("N must be odd and >= 5")
+    _require_odd(N)
     return sorted(math.acos(g) for g in positive_roots_U_prime(N - 2).mapped)

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .chebyshev import positive_roots_U, positive_roots_U_prime
-from .families import FactoredForm, _mirrored
+from .chebyshev import positive_roots_U
+from .families import FactoredForm, ParityMismatch, QuadSpec, _mirrored, _require_odd, factorize_limit_case
 from .polycore import NoConvergence, RealPoly, find_roots
 from .stability import DISK_TOL
 
 SCAN_CHUNK = 2048  # candidate pairs per simple_curve_scan chunk: ~200 KB of work arrays
-
-
-class ParityMismatch(ValueError):
-    """The requested family variant needs the other parity of N."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,11 @@ class NormalizedPoly:
 
 
 def suffridge_transform(f: NormalizedPoly, n: int) -> NormalizedPoly:
-    """Coefficient damping a_j -> (1 - (j-1)/n) a_j; kills the z^(n+1)-free top.
-
-    Equals ((n+1)/n) f - (1/n) z f' on polynomials of degree <= n.
-    """
+    """Coefficient damping a_j -> a_j (n+1-j)/n, that is ((n+1)/n) f - (1/n) z f'
+    on degree <= n; the integer n+1-j is exact, so each a_j is rounded twice."""
     if f.poly.degree > n:
         raise ValueError("transform needs degree <= n")
-    c = [(1.0 - (j - 1.0) / n) * v for j, v in enumerate(f.poly.coeffs)]
+    c = [v * (n + 1 - j) / n for j, v in enumerate(f.poly.coeffs)]
     return NormalizedPoly(RealPoly.of(c), n)
 
 
@@ -89,12 +84,12 @@ def fejer(n: int) -> NormalizedPoly:
 
 
 def fejer_derivative_factored(N: int) -> FactoredForm:
-    """sigma'_N as quadratics from U'_N zeros, with a (1+z) factor for even N."""
+    """sigma'_N as quadratics from U'_N zeros, (1+z) for even N.  (1-z)^3 sigma'_N is
+    q of degree N+2 at kappa = -(N+2)/N: its endpoint factorization less (1-z)^3."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    gammas = positive_roots_U_prime(N).mapped
-    linear = () if N % 2 == 1 else ((-1, 1),)
-    return FactoredForm(linear, tuple(-g for g in gammas), 1.0)
+    q = factorize_limit_case(QuadSpec("Q", Fraction(-(N + 2), N), N + 2))
+    return FactoredForm(tuple(part for part in q.linear if part != (1, 3)), q.quadratics, 1.0)
 
 
 def alexander(N: int) -> NormalizedPoly:
@@ -116,9 +111,11 @@ def alexander_derivative_factored(N: int) -> FactoredForm:
     return FactoredForm(linear, tuple(-b for b in betas), 1.0)
 
 
-def _require_odd(N: int, minimum: int = 5):
-    if N % 2 == 0 or N < minimum:
-        raise ParityMismatch(f"N must be odd and >= {minimum}, got {N}")
+def _core(N: int, sign: float, tail: float) -> NormalizedPoly:
+    """sum_j sign^(j-1) w_j (z^j + tail z^(N-j)) over 1 <= j < N/2, with
+    weights w_j = 1 - 2(j-1)/(N-2) and sign, tail each +1 or -1."""
+    w = [sign ** (j - 1) * (1.0 - 2.0 * (j - 1.0) / (N - 2.0)) for j in range(1, (N + 1) // 2)]
+    return NormalizedPoly(_mirrored(N, [0.0] + w, tail), N - 1)
 
 
 def tilde_p(N: int) -> NormalizedPoly:
@@ -127,35 +124,21 @@ def tilde_p(N: int) -> NormalizedPoly:
     Satisfies (1+z)^2 tilde_p(z) = z p(z) at kappa = N/(N-2), family P.
     """
     _require_odd(N)
-    half = [(-1.0) ** (j - 1) * (1.0 - 2.0 * (j - 1.0) / (N - 2.0)) for j in range(1, (N + 1) // 2)]
-    return NormalizedPoly(_mirrored(N, [0.0] + half, 1.0), N - 1)
+    return _core(N, -1.0, 1.0)
 
 
 def F_family(s: int, N: int) -> NormalizedPoly:
-    """The univalent families; s = 0 is the transformed tilde_p, with
-    alternating signs; s in 1..4 are the displayed variants without them
+    """The univalent families: the Suffridge transform (n = N-1) of a mirrored
+    core.  s = 0 transforms tilde_p; s in 1..4 drop its alternating signs
     (1, 2 for odd N with -/+ tails; 3, 4 for even N likewise)."""
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be in 0..4")
     if s in (0, 1, 2):
         _require_odd(N)
-        jmax = (N - 1) // 2
-    else:
-        if N % 2 == 1 or N < 6:
-            raise ParityMismatch(f"N must be even and >= 6, got {N}")
-        jmax = (N - 2) // 2
-    c = [0.0] * N
-    for j in range(1, jmax + 1):
-        w = 1.0 - 2.0 * (j - 1.0) / (N - 2.0)
-        if s == 0:
-            w *= (-1.0) ** (j - 1)
-        lo = w * (N - j) / (N - 1.0)
-        hi = w * j / (N - 1.0)
-        if s in (1, 3):
-            hi = -hi
-        c[j] += lo
-        c[N - j] += hi
-    return NormalizedPoly(RealPoly.of(c), N - 1)
+    elif N % 2 == 1 or N < 6:
+        raise ParityMismatch(f"N must be even and >= 6, got {N}")
+    core = tilde_p(N) if s == 0 else _core(N, 1.0, -1.0 if s in (1, 3) else 1.0)
+    return suffridge_transform(core, N - 1)
 
 
 def phi_k(N: int, k: int) -> RealPoly:

@@ -8,6 +8,8 @@ import pytest
 from quadrinomials import cli
 from quadrinomials.families import QuadSpec, build_quadrinomial
 from quadrinomials.polycore import NoConvergence, RootSet, find_roots
+from quadrinomials.stability import CurveSet
+from quadrinomials.univalent import BoundaryImage
 
 
 def run(capsys, *argv):
@@ -78,7 +80,7 @@ def test_cusps(capsys):
     assert len(doc["payload"]["angles"]) == 4
     assert len(doc["payload"]["differences"]) == 3
     code, _, err = run(capsys, "cusps", "--N", "6")
-    assert code == 2 and "error:" in err
+    assert code == 2 and "error:" in err and "got 6" in err
 
 
 def test_stability_text_is_csv(capsys):
@@ -159,6 +161,28 @@ def test_out_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["command"] == "cusps"
     assert len(doc["payload"]["angles"]) == 3
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "angles.json"
+    code, out, err = run(capsys, "cusps", "--N", "5", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error:") and str(target) in err
+    # the computation runs before the file is opened, so a failed one creates none
+    target = tmp_path / "angles.json"
+    code, out, err = run(capsys, "cusps", "--N", "6", "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+
+
+def test_json_output_formats_no_csv(capsys, monkeypatch):
+    def refuse(self, stream):
+        raise AssertionError("CSV formatted for --json")
+
+    monkeypatch.setattr(CurveSet, "to_csv", refuse)
+    monkeypatch.setattr(BoundaryImage, "to_csv", refuse)
+    code, out, _ = run(capsys, "stability", "--n", "4", "--samples", "10", "--json")
+    assert code == 0 and json.loads(out)["command"] == "stability"
+    code, out, _ = run(capsys, "univalent", "--s", "1", "--N", "5", "--boundary", "64", "--json")
+    assert code == 0 and len(json.loads(out)["payload"]["boundary"]["samples"]) == 64
 
 
 def test_argparse_rejects_bad_usage(capsys):

@@ -9,6 +9,7 @@ from quadrinomials.chebyshev import positive_roots_U
 from quadrinomials.families import (
     FactoredForm,
     NotALimitCase,
+    ParityMismatch,
     QuadSpec,
     build_quadrinomial,
     circle_criterion,
@@ -257,9 +258,9 @@ def test_cusp_angles_ascending_uneven_spacing():
 
 
 def test_cusp_angles_rejects_bad_N():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParityMismatch, match="got 6"):
         cusp_angles(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParityMismatch):
         cusp_angles(3)
 
 

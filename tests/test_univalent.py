@@ -12,6 +12,7 @@ from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from quadrinomials import univalent
+from quadrinomials.chebyshev import positive_roots_U_prime
 from quadrinomials.families import QuadSpec, build_quadrinomial
 from quadrinomials.polycore import NoConvergence, RealPoly, find_roots, self_reciprocal_sign
 from quadrinomials.univalent import (
@@ -70,6 +71,20 @@ def test_transform_equals_derivative_form():
         assert_allclose(out.poly.coeffs, alt.coeffs, rtol=1e-13, atol=1e-15)
 
 
+def test_transform_is_within_two_roundings_of_exact():
+    """a_j (n+1-j)/n rounds twice, so every coefficient is within 2u of the
+    exact rational result (u = 2^-53), the top index j = n included, where
+    the form (1 - (j-1)/n) a_j cancels."""
+    u = Fraction(1, 2**53)
+    rng = np.random.default_rng(29)
+    for n in range(2, 1001):
+        c = [0.0, 1.0] + list(rng.normal(size=n - 1))
+        out = suffridge_transform(_np(c, n), n).poly.coeffs
+        for j in {2, n, *rng.integers(2, n + 1, size=4).tolist()}:
+            exact = Fraction(c[j]) * (n + 1 - j) / n
+            assert abs(Fraction(out[j]) - exact) <= 2 * u * abs(exact), (n, j)
+
+
 def test_membership_hand_cases():
     # kernels of z + z^2 at n = 2 are 1 + z and 1 - z: zeros on the circle
     assert suffridge_membership(_np([0.0, 1.0, 1.0], 2), 2)
@@ -89,11 +104,13 @@ def test_fejer_coefficients():
 
 
 def test_fejer_derivative_factorization():
-    for N in range(2, 13):
+    for N in range(2, 102):
         f = fejer_derivative_factored(N)
         assert f.linear == (() if N % 2 == 1 else ((-1, 1),))
+        assert f.quadratics == tuple(-g for g in positive_roots_U_prime(N).mapped)
         direct = fejer(N).poly.derivative()
-        assert_allclose(f.expand().coeffs, direct.coeffs, atol=1e-12)
+        # the balanced expansion keeps about 1e-11 through degree 101
+        assert_allclose(f.expand().coeffs, direct.coeffs, atol=1e-12 if N <= 12 else 1e-11)
     with pytest.raises(ValueError):
         fejer_derivative_factored(1)
 
@@ -170,10 +187,31 @@ def test_family_parity_dispatch():
 
 
 def test_family_zero_is_transformed_tilde_p():
-    for N in (5, 7, 9, 11, 15):
+    for N in range(5, 202, 2):
         direct = F_family(0, N).poly.coeffs
         via = suffridge_transform(tilde_p(N), N - 1).poly.coeffs
-        assert_allclose(direct, via, atol=1e-14)
+        assert direct == via
+
+
+def _displayed_family(s, N):
+    """The displayed coefficients: c_j = w_j (N-j)/(N-1) and
+    c_(N-j) = +/- w_j j/(N-1), w_j = 1 - 2(j-1)/(N-2), over 1 <= j < N/2;
+    w_j alternates for s = 0 and the tail sign is -1 for s in {1, 3}."""
+    c = [0.0] * N
+    for j in range(1, (N + 1) // 2):
+        w = 1.0 - 2.0 * (j - 1.0) / (N - 2.0)
+        if s == 0:
+            w *= (-1.0) ** (j - 1)
+        c[j] += w * (N - j) / (N - 1.0)
+        c[N - j] += (-1.0 if s in (1, 3) else 1.0) * w * j / (N - 1.0)
+    return RealPoly.of(c).coeffs
+
+
+def test_family_bits_match_the_displayed_formula():
+    for s in range(5):
+        for N in range(5 if s < 3 else 6, 202, 2):
+            got = [c.hex() for c in F_family(s, N).poly.coeffs]
+            assert got == [c.hex() for c in _displayed_family(s, N)], (s, N)
 
 
 def test_family_one_is_reflected_family_zero():
