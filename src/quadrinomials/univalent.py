@@ -57,11 +57,14 @@ def suffridge_membership(f: NormalizedPoly, n: int) -> bool:
 
     Kernel k is 1 + sum_j a_j (sin(j a_k)/sin(a_k)) z^(j-1) with
     a_k = k pi/(n+1); membership requires every kernel zero to satisfy
-    |z| >= 1 - DISK_TOL.
+    |z| >= 1 - DISK_TOL.  As sin(j(pi - a)) = (-1)^(j+1) sin(j a), kernel
+    n+1-k is kernel k at -z, exactly for real a_j: its zeros are the negatives
+    of kernel k's, same moduli.  So only k <= ceil(n/2) are solved; the odd-n
+    middle kernel (a = pi/2) is its own mirror.
     """
     if f.poly.degree > n:
         raise ValueError("membership needs degree <= n")
-    for k in range(1, n + 1):
+    for k in range(1, (n + 1) // 2 + 1):
         alpha = k * math.pi / (n + 1)
         s = math.sin(alpha)
         kernel = RealPoly.of(
@@ -147,8 +150,9 @@ def phi_k(N: int, k: int) -> RealPoly:
     For k = 1..N-1 it is the kernel numerator
     (1 + 2 cos(alpha_k) z + z^2)^2 K_k(z), where K_k is the difference-quotient
     kernel of tilde_p(N) at alpha_k that suffridge_membership(tilde_p(N), N-1)
-    tests; its zeros lie on |z| = 1.  k = N (alpha = pi, sin alpha = 0) is
-    accepted but is not a kernel numerator, and it has zeros off the circle.
+    tests, for k > (N-1)/2 as its mirror K_(N-k)(-z); its zeros lie on |z| = 1.
+    k = N (alpha = pi, sin alpha = 0) is accepted but is not a kernel
+    numerator, and it has zeros off the circle.
     """
     _require_odd(N)
     if not 1 <= k <= N:

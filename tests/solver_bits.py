@@ -58,7 +58,8 @@ def endpoint_kappas(N: int) -> list[tuple[str, Fraction]]:
 
 
 def suffridge_kernels(s: int, N: int):
-    """The n = N-1 difference-quotient kernels that suffridge_membership solves."""
+    """All n = N-1 difference-quotient kernels; suffridge_membership solves the
+    first ceil(n/2) and covers kernel n+1-k as kernel k at -z."""
     f = F_family(s, N)
     n = N - 1
     for k in range(1, n + 1):

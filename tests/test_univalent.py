@@ -15,6 +15,7 @@ from quadrinomials import univalent
 from quadrinomials.chebyshev import positive_roots_U_prime
 from quadrinomials.families import QuadSpec, build_quadrinomial
 from quadrinomials.polycore import NoConvergence, RealPoly, find_roots, self_reciprocal_sign
+from quadrinomials.stability import DISK_TOL
 from quadrinomials.univalent import (
     BoundaryImage,
     NormalizedPoly,
@@ -94,6 +95,74 @@ def test_membership_hand_cases():
     assert suffridge_membership(_np([0.0, 1.0], 5), 5)
     with pytest.raises(ValueError):
         suffridge_membership(_np([0.0, 1.0, 0.0, 1.0], 3), 2)
+
+
+def _kernel(f, n, k):
+    """Kernel k of f by suffridge_membership's expression: the coefficient of
+    z^(j-1) is a_j sin(j a)/sin(a) at a = k pi/(n+1)."""
+    alpha = k * math.pi / (n + 1)
+    s = math.sin(alpha)
+    return np.array([f.coeff(j) * math.sin(j * alpha) / s for j in range(1, n + 1)])
+
+
+def _membership_all_kernels(f, n):
+    """The membership loop over all n kernels, without the mirror shortcut."""
+    for k in range(1, n + 1):
+        kernel = RealPoly.of(_kernel(f, n, k))
+        if kernel.degree < 1:
+            continue
+        if any(abs(r.value) < 1.0 - DISK_TOL for r in find_roots(kernel).roots):
+            return False
+    return True
+
+
+def _families(top):
+    """(s, N) of every F_family(s, N) with N <= top."""
+    return [(s, N) for N in range(5, top + 1) for s in ((0, 1, 2) if N % 2 else (3, 4) if N >= 6 else ())]
+
+
+def test_mirror_kernel_is_kernel_at_minus_z():
+    """Kernel n+1-k is kernel k at -z: c'_j = (-1)^j c_j up to the rounding
+    of sin(j a), within 8 n u max|c| (u = 2^-53)."""
+    u = 2.0**-53
+    worst = 0.0
+    for s, N in _families(101):
+        f, n = F_family(s, N), N - 1
+        signs = (-1.0) ** np.arange(n)
+        for k in range(1, n + 1):
+            c, mirror = _kernel(f, n, k), _kernel(f, n, n + 1 - k)
+            gap = np.max(np.abs(mirror - signs * c)) / (n * u * np.max(np.abs(c)))
+            worst = max(worst, gap)
+            assert gap <= 8.0, (s, N, k, gap)
+    assert worst > 0.0  # the mirror is built from its own angle, not copied
+
+
+def test_membership_equals_the_all_kernel_loop():
+    """Solving kernels 1..ceil(n/2) gives the verdict of solving all n, on
+    the families (all members) and on a seeded sweep with many non-members."""
+    cases = [F_family(s, N) for s, N in _families(61)] + [tilde_p(N) for N in range(5, 62, 2)]
+    for f in cases:
+        assert suffridge_membership(f, f.n) and _membership_all_kernels(f, f.n), f.poly.coeffs
+    rng = random.Random(1976)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(2, 14)
+        scale = rng.uniform(0.0, 1.0)
+        f = _np([0.0, 1.0] + [rng.gauss(0.0, scale) / j for j in range(2, n + 1)], n)
+        verdict = suffridge_membership(f, n)
+        assert verdict == _membership_all_kernels(f, n), (n, f.poly.coeffs)
+        verdicts.append(verdict)
+    # at least 100 non-members, so the test cannot pass by always saying True
+    assert 100 <= len(verdicts) - sum(verdicts) <= len(verdicts) - 100
+
+
+def test_membership_catches_a_non_member_bad_only_in_the_last_kept_pair():
+    # n = 4: kernel 1 (and its mirror 4) keeps its zeros outside, |z| >= 1.2,
+    # while kernel 2 (and its mirror 3) has a zero at |z| = 0.94
+    f = _np([0.0, 1.0, -1.35, 1.0, -0.4], 4)
+    least = [min(abs(r.value) for r in find_roots(RealPoly.of(_kernel(f, 4, k))).roots) for k in (1, 2, 3, 4)]
+    assert min(least[0], least[3]) > 1.2 and max(least[1], least[2]) < 0.95
+    assert not suffridge_membership(f, 4)
 
 
 def test_fejer_coefficients():
@@ -264,6 +333,18 @@ def test_phi_zeros_on_circle_below_top_index():
             assert dev <= 1e-10, (N, k, dev)
 
 
+def test_phi_mirror_index_is_phi_at_minus_z():
+    """phi_k(N, N-k)(z) = phi_k(N, k)(-z) within 16u max|c| for k <= N-1: the
+    mirror identity of the kernels, carried to their numerators."""
+    u = 2.0**-53
+    for N in range(5, 42, 2):
+        signs = (-1.0) ** np.arange(N + 3)
+        for k in range(1, N):
+            c, mirror = np.asarray(phi_k(N, k).coeffs), np.asarray(phi_k(N, N - k).coeffs)
+            gap = np.max(np.abs(mirror - signs * c)) / (u * np.max(np.abs(c)))
+            assert gap <= 16.0, (N, k, gap)
+
+
 def test_phi_top_index_leaves_circle():
     # The k = N kernel genuinely has off-circle zeros; the deviation shrinks
     # as N grows but stays far above the circle tolerance.
@@ -294,14 +375,14 @@ def test_phi_top_index_exact_sign_change():
 def test_phi_is_squared_quadratic_times_tilde_p_kernel():
     # For k <= N-1, phi_k(N, k) = (1 + 2 cos(a) z + z^2)^2 K_k(z), where K_k is
     # the difference-quotient kernel of tilde_p(N) at a = k pi / N that
-    # suffridge_membership(tilde_p(N), N-1) tests.
+    # suffridge_membership(tilde_p(N), N-1) tests: it solves K_k for
+    # k <= (N-1)/2 and covers k > (N-1)/2 as the mirror K_(N-k)(-z).
     for N in range(5, 22, 2):
         f = tilde_p(N)
         assert suffridge_membership(f, N - 1), N
         for k in range(1, N):
             alpha = k * math.pi / N
-            kernel = [f.coeff(j) * math.sin(j * alpha) / math.sin(alpha)
-                      for j in range(1, N)]
+            kernel = _kernel(f, N - 1, k)
             quadratic = (1.0, 2.0 * math.cos(alpha), 1.0)
             product = npp.polymul(npp.polymul(quadratic, quadratic), kernel)
             phi = np.asarray(phi_k(N, k).coeffs)
