@@ -96,16 +96,12 @@ class FactoredForm:
 
 
 def _bit_reversed(k: int) -> list[int]:
-    if k <= 1:
-        return list(range(k))
-    bits = (k - 1).bit_length()
-    def rev(i: int) -> int:
-        out = 0
-        for _ in range(bits):
-            out = (out << 1) | (i & 1)
-            i >>= 1
-        return out
-    return sorted(range(k), key=rev)
+    """range(k) in bit-reversed order: the evens, then the odds, each half in this order.
+    Built by that split for the next power of two, then cut to range(k)."""
+    order = [0]
+    while len(order) < k:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    return [i for i in order if i < k]
 
 
 def _mirrored(degree: int, low, sign: float) -> RealPoly:

@@ -109,8 +109,8 @@ class RootSet:
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """npp.polyval(z, c) for an array z: same operation order and bits, two buffers.
 
-    Scalars stay on npp.polyval: numpy's scalar complex multiply rounds unlike the
-    array loop, and so does an in-place one of length 1, hence ``prod``.
+    An in-place complex multiply of length 1 rounds unlike the array loop, hence
+    ``prod``; certification evaluates at a single point as a length-1 array.
     """
     acc = c[-1] + z * 0
     prod = np.empty_like(acc)
@@ -135,11 +135,10 @@ def _power(powers: dict, g: int):
 
 
 def _evaluate(c: np.ndarray, form, powers: dict):
-    """c at z = powers[1], as acc * z**gap + c_j over the nonzero terms of a _sparse_form,
-    else with the bits of _horner (array z) or npp.polyval (scalar z)."""
-    z = powers[1]
+    """c at the array z = powers[1], as acc * z**gap + c_j over the nonzero terms of a
+    _sparse_form, else with the bits of _horner."""
     if form is None:
-        return _horner(c, z) if isinstance(z, np.ndarray) else npp.polyval(z, c)
+        return _horner(c, powers[1])
     exps, vals = form
     acc = vals[-1]
     for k in range(len(exps) - 2, -1, -1):
@@ -147,14 +146,13 @@ def _evaluate(c: np.ndarray, form, powers: dict):
     return acc * _power(powers, exps[0]) if exps[0] else acc
 
 
-def _polish(chain: _TaylorChain, z: np.ndarray, budget: int) -> np.ndarray:
-    """Newton-polish all seeds at once, keeping the lowest-|p| iterate seen.
+def _polish(c: np.ndarray, cp: np.ndarray, z: np.ndarray, budget: int) -> np.ndarray:
+    """Newton-polish all seeds z of c (derivative cp) at once, keeping the lowest-|c| iterate.
 
     Newton creeps only linearly into an m-fold root and then jitters at the
     rounding floor, where the step test never fires; so polishing also stops
-    once no seed has lowered its best |p| for STALL_PATIENCE iterations.
+    once no seed has lowered its best |c| for STALL_PATIENCE iterations.
     """
-    c, cp = chain[0], chain[1]
     forms = _sparse_form(c), _sparse_form(cp)
     best = z.copy()
     powers = {1: z}
@@ -218,63 +216,46 @@ class _TaylorChain:
         return self._terms[k]
 
 
-def _abs_scale(c: np.ndarray, z):
-    """Backward-error scale sum_j |c_j| max(1,|z|)^j + 1 at a point or array."""
-    r = np.maximum(1.0, np.abs(z))
+def _abs_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Certification's scale sum_j |c_j| max(1,|z|)^j + 1, with |c| in its _sparse_form."""
     a = np.abs(c)
-    form = None if isinstance(r, np.ndarray) else _sparse_form(a)  # arrays: the residual's scale
-    return _evaluate(a, form, {1: r}) + 1.0
+    return _evaluate(a, _sparse_form(a), {1: np.maximum(1.0, np.abs(z))}) + 1.0
 
 
-def _newton_scalar(chain: _TaylorChain, m: int, z: complex, iters: int) -> complex:
-    """Newton on t_{m-1}, whose derivative is m t_m, from z."""
-    c, cp = chain[m - 1], m * chain[m]
-    forms = _sparse_form(c), _sparse_form(cp)
-    for _ in range(iters):
-        powers = {1: z}
-        dv = _evaluate(cp, forms[1], powers)
-        if dv == 0:
-            break
-        step = _evaluate(c, forms[0], powers) / dv
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z
+def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | None:
+    """Try to certify a root of multiplicity m = len(members) near their mean.
 
-
-def _confirm_multiple(chain: _TaylorChain, z0: complex, members: np.ndarray, m: int) -> complex | None:
-    """Try to certify a multiplicity-m root near z0.
-
-    Refines z0 against t_{m-1}, where the root is simple, then demands that
-    all lower Taylor coefficients vanish to rounding level and that every
-    member of the cluster sits within the expected rounding-scatter radius.
+    Polishes the mean against t_{m-1}, where the root is simple and whose
+    derivative is m t_m, then demands that all lower Taylor coefficients
+    vanish to rounding level and that every member of the cluster sits
+    within the expected rounding-scatter radius.
     """
+    m = len(members)
     if m >= len(chain[0]):
         return None
-    z = _newton_scalar(chain, m, z0, 100)
+    z = _polish(chain[m - 1], m * chain[m], np.array([members.mean()]), 100)
     powers = {1: z}
     for k in range(m):
-        value = _evaluate(chain[k], _sparse_form(chain[k]), powers)
-        if abs(value) > 1e-8 * _abs_scale(chain[k], z):
+        if np.abs(_evaluate(chain[k], _sparse_form(chain[k]), powers)) > 1e-8 * _abs_scale(chain[k], z):
             return None
-    lead = abs(_evaluate(chain[m], _sparse_form(chain[m]), powers))
+    lead = np.abs(_evaluate(chain[m], _sparse_form(chain[m]), powers))[0]
     if lead > 0:
-        eps = 1e-15 * _abs_scale(chain[0], z)
+        eps = 1e-15 * _abs_scale(chain[0], z)[0]
         scatter = 20.0 * (eps / lead) ** (1.0 / m)
     else:
         scatter = SUSPICION_RADIUS
     limit = max(CLUSTER_RADIUS, min(scatter, 2 * SUSPICION_RADIUS))
     if np.any(np.abs(members - z) > limit):
         return None
-    return z
+    return complex(z[0])
 
 
 def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
     """Two-stage clustering: a tight merge within CLUSTER_RADIUS, then a wide merge
     within SUSPICION_RADIUS that holds only if the multiple root is certified.
 
-    Returns (root, multiplicity, certified) triples.  A tight cluster that
-    _confirm_multiple refuses keeps its count but comes back uncertified.
+    Returns (root, multiplicity, certified) triples, a multiplicity counting the points
+    merged.  A tight cluster that _confirm_multiple refuses comes back uncertified.
     """
     dist = np.abs(polished[:, None] - polished[None, :])
     if np.count_nonzero(dist <= max(CLUSTER_RADIUS, SUSPICION_RADIUS)) == len(dist):
@@ -284,7 +265,7 @@ def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
         members = polished[comp]
         m = len(comp)
         center = complex(members[0] if m == 1 else members.mean())  # one point: no mean needed
-        refined = _confirm_multiple(chain, center, members, m) if m > 1 else None
+        refined = _confirm_multiple(chain, members) if m > 1 else None
         groups.append((center if refined is None else refined, m, m == 1 or refined is not None, members))
 
     centers = np.array([g[0] for g in groups])
@@ -293,10 +274,9 @@ def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
         refined = None
         if len(comp) > 1:
             members = np.concatenate([groups[i][3] for i in comp])
-            total = sum(groups[i][1] for i in comp)
-            refined = _confirm_multiple(chain, complex(members.mean()), members, total)
+            refined = _confirm_multiple(chain, members)
         if refined is not None:
-            merged.append((refined, total, True))
+            merged.append((refined, len(members), True))
         else:
             merged.extend(groups[i][:3] for i in comp)
     return merged
@@ -310,7 +290,7 @@ def _backward_errors(c: np.ndarray, values: np.ndarray) -> np.ndarray:
     at w = 1/z.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed points are redone below
-        scale = _abs_scale(c, values)
+        scale = _horner(np.abs(c), np.maximum(1.0, np.abs(values))) + 1.0
         out = np.abs(_horner(c, values)) / scale
     far = np.isinf(scale)
     if far.any():
@@ -344,7 +324,7 @@ def find_roots(p: RealPoly) -> RootSet:
     if len(work) > 1:
         seeds = np.atleast_1d(npp.polyroots(work))
         chain = _TaylorChain(work)
-        polished = _polish(chain, seeds.astype(complex), MAX_ITERATIONS)
+        polished = _polish(chain[0], chain[1], seeds.astype(complex), MAX_ITERATIONS)
         triples.extend(_merge_clusters(chain, polished))
 
     values = np.array([v for v, _, _ in triples], dtype=complex)

@@ -79,11 +79,11 @@ def suffridge_membership(f: NormalizedPoly, n: int) -> bool:
 
 
 def fejer(n: int) -> NormalizedPoly:
-    """sigma_n(z) = sum_{j=1}^n (1 - (j-1)/n) z^j."""
+    """sigma_n(z) = sum_{j=1}^n ((n+1-j)/n) z^j: the transform of z + ... + z^n,
+    so each coefficient is rounded once."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = [0.0] + [1.0 - (j - 1.0) / n for j in range(1, n + 1)]
-    return NormalizedPoly(RealPoly.of(c), n)
+    return suffridge_transform(NormalizedPoly(RealPoly.of([0.0] + [1.0] * n), n), n)
 
 
 def fejer_derivative_factored(N: int) -> FactoredForm:

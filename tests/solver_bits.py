@@ -13,7 +13,8 @@ case that raises NoConvergence prints that and its ``best`` root set.
 every case keeps its NoConvergence status, its root count and its
 multiplicities in order; every root moves by at most
 1e-10 * max(1, |z|); and every residual of a converged case stays within
-``polycore.RESIDUAL_SCALE``.  It prints the number of identical cases, the worst
+``polycore.RESIDUAL_SCALE``.  It prints the number of identical cases, the
+number of changed cases per kind (the first word of the case name), the worst
 relative root move per multiplicity and the worst residual, and exits 1 on a
 breach.
 
@@ -127,9 +128,12 @@ def compare(old_path: str, new_path: str) -> int:
     breaches: list[str] = []
     if [case[0] for case in old] != [case[0] for case in new]:
         breaches.append("the two outputs hold different cases")
-    identical, worst_move, worst_residual = 0, {}, (0.0, "")
+    identical, changed, worst_move, worst_residual = 0, {}, {}, (0.0, "")
     for (name, old_failed, old_roots), (_, failed, roots) in zip(old, new):
-        identical += (old_failed, old_roots) == (failed, roots)
+        same = (old_failed, old_roots) == (failed, roots)
+        identical += same
+        kind = name.split()[0]
+        changed[kind] = changed.get(kind, 0) + (not same)
         if failed != old_failed or [r[1] for r in roots] != [r[1] for r in old_roots]:
             breaches.append(f"{name}: NoConvergence status, root count or multiplicities differ")
             continue
@@ -144,6 +148,7 @@ def compare(old_path: str, new_path: str) -> int:
             if not failed and res > worst_residual[0]:
                 worst_residual = (res, name)
     print(f"identical cases: {identical} of {len(new)}")
+    print("changed cases per kind: " + ", ".join(f"{kind} {n}" for kind, n in changed.items()))
     for m in sorted(worst_move):
         print(f"worst relative |dz|, multiplicity {m}: {worst_move[m][0]:.3e} ({worst_move[m][1]})")
     print(f"worst residual of a converged case: {worst_residual[0]:.3e} ({worst_residual[1]})")

@@ -21,7 +21,7 @@ from quadrinomials.families import (
 )
 from quadrinomials.families import _bit_reversed
 from quadrinomials.polycore import RealPoly, find_roots, self_reciprocal_sign
-from quadrinomials.univalent import alexander_derivative_factored, fejer_derivative_factored
+from quadrinomials.univalent import alexander_derivative_factored, fejer_derivative_factored, quasi_extremal_W
 
 
 def test_spec_validation():
@@ -211,16 +211,21 @@ def test_factorization_matches_build_moderate_degrees():
 
 
 def test_endpoint_multiplicities_match_factorization():
-    for spec in _endpoint_specs([*range(3, 13), 31, 57, 101]):
-        rs = find_roots(build_quadrinomial(spec))
+    """Every multiple root comes back certified at +/-1 with the factorization's
+    multiplicity, refined to within 16 eps of it; W(N) has its 5-fold root at -1."""
+    cases = [(build_quadrinomial(spec), factorize_limit_case(spec).linear, spec)
+             for spec in _endpoint_specs([*range(3, 13), 31, 57, 101])]
+    cases += [(quasi_extremal_W(N), ((-1, 5),), f"W N={N}") for N in range(5, 40, 2)]
+    for p, linear, case in cases:
+        rs = find_roots(p)
         multiple = sorted(
             (round(r.value.real), r.multiplicity) for r in rs.roots if r.multiplicity > 1
         )
-        expected = sorted((root, m) for root, m in factorize_limit_case(spec).linear if m > 1)
-        assert multiple == expected, spec
+        expected = sorted((root, m) for root, m in linear if m > 1)
+        assert multiple == expected, case
         for r in rs.roots:
             if r.multiplicity > 1:
-                assert abs(r.value - round(r.value.real)) <= 1e-4, spec
+                assert abs(r.value - round(r.value.real)) <= 16 * np.finfo(float).eps, case
 
 
 def test_edge_case_has_triple_root():
@@ -282,6 +287,23 @@ def _expand_pairwise(form: FactoredForm) -> RealPoly:
         paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
         factors = paired + factors[len(paired) * 2:]
     return factors[0] if form.scale == 1.0 else factors[0].scaled(form.scale)
+
+
+def _bit_reversed_by_sort(k: int) -> list[int]:
+    """range(k) sorted by the bit reversal of each index over (k-1).bit_length() bits."""
+    bits = (k - 1).bit_length() if k > 1 else 0
+    def rev(i: int) -> int:
+        out = 0
+        for _ in range(bits):
+            out = (out << 1) | (i & 1)
+            i >>= 1
+        return out
+    return sorted(range(k), key=rev)
+
+
+def test_bit_reversed_matches_sort_by_reversed_key():
+    for k in [*range(1025), *range(1025, 4097, 61), 2047, 2048, 2049, 4095, 4096]:
+        assert _bit_reversed(k) == _bit_reversed_by_sort(k), k
 
 
 def test_expand_matches_pairwise_product_bitwise():

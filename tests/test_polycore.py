@@ -409,7 +409,8 @@ def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
         c = p.as_array()
         seeds = npp.polyroots(c).astype(complex)
         if _sparse_form(c) is None and _sparse_form(_TaylorChain(c)[1]) is None:
-            assert _same_bits(_polish(_TaylorChain(c), seeds, 500), _polish_by_polyval(c, seeds, 500))
+            chain = _TaylorChain(c)
+            assert _same_bits(_polish(chain[0], chain[1], seeds, 500), _polish_by_polyval(c, seeds, 500))
             failed, rs = _solve(p)
         else:
             sparse_path += 1

@@ -172,6 +172,13 @@ def test_fejer_coefficients():
         fejer(0)
 
 
+def test_fejer_coefficients_are_correctly_rounded():
+    """Each a_j = (n+1-j)/n is the float nearest the exact ratio."""
+    for n in range(1, 401):
+        c = fejer(n).poly.coeffs
+        assert c == (0.0, *(float(Fraction(n + 1 - j, n)) for j in range(1, n + 1))), n
+
+
 def test_fejer_derivative_factorization():
     for N in range(2, 102):
         f = fejer_derivative_factored(N)
