@@ -212,7 +212,7 @@ def cmd_univalent(args):
         lines.append(
             "W at -1: "
             + " ".join(f"{v:.2e}" for v in checks.derivative_magnitudes)
-            + f"  deflated circle dev {checks.deflated_circle_deviation:.2e}"
+            + f"  circle dev of the other roots {checks.deflated_circle_deviation:.2e}"
             + f"  identity dev {checks.identity_deviation:.2e}"
         )
     if args.boundary:

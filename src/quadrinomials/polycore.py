@@ -18,8 +18,8 @@ from numpy.polynomial import polynomial as npp
 
 MAX_ITERATIONS = 500  # Newton polish steps per find_roots call
 RESIDUAL_SCALE = 1e-12  # largest backward error find_roots accepts
-CLUSTER_RADIUS = 1e-6  # polished points this close merge; find_roots refuses a merge left uncertified
-SUSPICION_RADIUS = 5e-3  # clusters this close merge if the multiple root is certified
+CLUSTER_RADIUS = 1e-6  # a refused cluster splits into parts this close; find_roots refuses a part left uncertified
+SUSPICION_RADIUS = 5e-3  # polished points this close form a cluster, one root if certified
 RECIPROCAL_TOL = 1e-12  # self_reciprocal_sign, relative to max |c_j|
 CLASSIFY_TOL = 1e-8  # classify_roots' circle band for simple roots; 1e-5 for multiple ones
 STALL_PATIENCE = 5  # polish iterations with no seed improving before stopping
@@ -231,8 +231,6 @@ def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | Non
     within the expected rounding-scatter radius.
     """
     m = len(members)
-    if m >= len(chain[0]):
-        return None
     z = _polish(chain[m - 1], m * chain[m], np.array([members.mean()]), 100)
     powers = {1: z}
     for k in range(m):
@@ -251,34 +249,30 @@ def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | Non
 
 
 def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
-    """Two-stage clustering: a tight merge within CLUSTER_RADIUS, then a wide merge
-    within SUSPICION_RADIUS that holds only if the multiple root is certified.
+    """One clustering pass: points within SUSPICION_RADIUS of each other form a
+    cluster, returned as one multiple root if _confirm_multiple certifies it.
 
-    Returns (root, multiplicity, certified) triples, a multiplicity counting the points
-    merged.  A tight cluster that _confirm_multiple refuses comes back uncertified.
+    A refused cluster splits at the smaller CLUSTER_RADIUS and each part of
+    several points is certified on its own; a refused part, or a part that is the
+    whole cluster, comes back uncertified at its mean.  Returns (root,
+    multiplicity, certified) triples, a multiplicity counting the points merged.
     """
     dist = np.abs(polished[:, None] - polished[None, :])
-    if np.count_nonzero(dist <= max(CLUSTER_RADIUS, SUSPICION_RADIUS)) == len(dist):
-        return [(complex(v), 1, True) for v in polished]  # neither stage has a pair to merge
-    groups: list[tuple[complex, int, bool, np.ndarray]] = []
-    for comp in _components(dist <= CLUSTER_RADIUS):
-        members = polished[comp]
-        m = len(comp)
-        center = complex(members[0] if m == 1 else members.mean())  # one point: no mean needed
-        refined = _confirm_multiple(chain, members) if m > 1 else None
-        groups.append((center if refined is None else refined, m, m == 1 or refined is not None, members))
-
-    centers = np.array([g[0] for g in groups])
+    points = polished.tolist()
     merged: list[tuple[complex, int, bool]] = []
-    for comp in _components(np.abs(centers[:, None] - centers[None, :]) <= SUSPICION_RADIUS):
-        refined = None
-        if len(comp) > 1:
-            members = np.concatenate([groups[i][3] for i in comp])
-            refined = _confirm_multiple(chain, members)
+    for comp in _components(dist <= SUSPICION_RADIUS):
+        if len(comp) == 1:
+            merged.append((points[comp[0]], 1, True))
+            continue
+        refined = _confirm_multiple(chain, polished[comp])
         if refined is not None:
-            merged.append((refined, len(members), True))
-        else:
-            merged.extend(groups[i][:3] for i in comp)
+            merged.append((refined, len(comp), True))
+            continue
+        for part in _components(dist[np.ix_(comp, comp)] <= CLUSTER_RADIUS):
+            members = polished[[comp[i] for i in part]]
+            m = len(part)
+            refined = _confirm_multiple(chain, members) if 1 < m < len(comp) else None
+            merged.append((complex(members.mean()) if refined is None else refined, m, m == 1 or refined is not None))
     return merged
 
 
@@ -303,7 +297,7 @@ def find_roots(p: RealPoly) -> RootSet:
     """All complex roots of p with multiplicities and backward errors.
 
     Exact zero roots are stripped first; the rest are companion-matrix seeds
-    polished by Newton iteration and merged by the two-stage clustering.
+    polished by Newton iteration and merged by one clustering pass.
     Each root's ``residual`` is its backward error
     |p(z)| / (sum_j |c_j| max(1,|z|)^j + 1): a root with residual r is an
     exact root of a polynomial whose coefficients are relatively perturbed

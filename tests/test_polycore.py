@@ -539,14 +539,14 @@ def test_components_match_union_find():
     assert seen_chain and seen_singletons
 
 
-def test_tight_merge_uses_the_larger_radius(monkeypatch):
-    # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside CLUSTER_RADIUS but
-    # outside SUSPICION_RADIUS, so the tight stage merges it; certification
-    # refuses the pair, and best keeps the merged cluster.
+def test_refused_pair_inside_split_radius_stays_uncertified(monkeypatch):
+    # zeros 1, 1.001, -2: the pair is 1e-3 apart, inside SUSPICION_RADIUS and,
+    # patched, inside CLUSTER_RADIUS too.  Certification refuses the pair, its
+    # split is the whole pair again, and best keeps it as one uncertified cluster.
     p = RealPoly.of(npp.polyfromroots([1.0, 1.001, -2.0]))
     with monkeypatch.context() as m:
-        m.setattr(polycore, "CLUSTER_RADIUS", 1e-2)
-        m.setattr(polycore, "SUSPICION_RADIUS", 1e-4)
+        m.setattr(polycore, "CLUSTER_RADIUS", 2e-3)
+        assert polycore.CLUSTER_RADIUS < polycore.SUSPICION_RADIUS
         with pytest.raises(NoConvergence) as exc:
             find_roots(p)
     best = exc.value.best
@@ -555,3 +555,16 @@ def test_tight_merge_uses_the_larger_radius(monkeypatch):
     double = next(r for r in best.roots if r.multiplicity == 2)
     assert abs(double.value - 1.0005) < 1e-12
     assert len(find_roots(p).roots) == 3  # default radii keep the pair apart
+
+
+def test_refused_cluster_keeps_its_certified_tight_part():
+    # (z+1)^2 (z+1.0015) (z-2)^2: the three points near -1 lie within
+    # SUSPICION_RADIUS but are no triple root, so that cluster is refused and
+    # split at CLUSTER_RADIUS; the double root at -1 is certified on its own.
+    rs = find_roots(RealPoly.of(npp.polyfromroots([-1.0, -1.0, -1.0015, 2.0, 2.0])))
+    assert rs.total == 5
+    by_value = sorted(rs.roots, key=lambda r: r.value.real)
+    assert [r.multiplicity for r in by_value] == [1, 2, 2]
+    assert abs(by_value[0].value + 1.0015) < 1e-9
+    assert abs(by_value[1].value + 1.0) < 1e-9
+    assert abs(by_value[2].value - 2.0) < 1e-9
