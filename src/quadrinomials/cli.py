@@ -198,10 +198,9 @@ def cmd_univalent(args):
     lines = [f"F_{args.N}^({args.s}) coefficients"]
     lines += [f"  z^{j}: {_fmt(c)}" for j, c in enumerate(f.poly.coeffs) if c != 0.0]
     if args.s == 0:
-        devs = [
-            max(abs(abs(r.value) - 1.0) for r in find_roots(phi_k(args.N, k)).roots)
-            for k in range(1, args.N + 1)
-        ]
+        ks = [*range(1, (args.N + 1) // 2), args.N]
+        *low, top = (max(abs(abs(r.value) - 1.0) for r in find_roots(phi_k(args.N, k)).roots) for k in ks)
+        devs = low + low[::-1] + [top]  # row N-k: phi_k(N, N-k)(z) = phi_k(N, k)(-z)
         payload["phi_k"] = [{"k": k, "max_circle_deviation": d} for k, d in enumerate(devs, 1)]
         lines.append(
             f"phi_k worst circle deviation over k=1..{args.N - 1}: {max(devs[:-1]):.3e}; "

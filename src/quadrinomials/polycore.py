@@ -18,8 +18,8 @@ from numpy.polynomial import polynomial as npp
 
 MAX_ITERATIONS = 500  # Newton polish steps per find_roots call
 RESIDUAL_SCALE = 1e-12  # largest backward error find_roots accepts
-CLUSTER_RADIUS = 1e-6  # a refused cluster splits into parts this close; find_roots refuses a part left uncertified
-SUSPICION_RADIUS = 5e-3  # polished points this close form a cluster, one root if certified
+CLUSTER_RADIUS = 1e-6  # floor of the halving split radius; find_roots refuses a cluster refused at it
+SUSPICION_RADIUS = 5e-3  # polished points this close form a cluster, one root if certified, else split at half
 RECIPROCAL_TOL = 1e-12  # self_reciprocal_sign, relative to max |c_j|
 CLASSIFY_TOL = 1e-8  # classify_roots' circle band for simple roots; 1e-5 for multiple ones
 STALL_PATIENCE = 5  # polish iterations with no seed improving before stopping
@@ -161,8 +161,7 @@ def _polish(c: np.ndarray, cp: np.ndarray, z: np.ndarray, budget: int) -> np.nda
     stalled = 0
     for _ in range(budget):
         dv = _evaluate(cp, forms[1], powers)
-        safe = np.where(dv == 0, 1.0, dv)
-        step = np.where(dv == 0, 0.0, pz / safe)
+        step = np.divide(pz, dv, out=np.zeros_like(pz), where=dv != 0)
         z = z - step
         powers = {1: z}
         pz = _evaluate(c, forms[0], powers)
@@ -249,30 +248,31 @@ def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | Non
 
 
 def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
-    """One clustering pass: points within SUSPICION_RADIUS of each other form a
-    cluster, returned as one multiple root if _confirm_multiple certifies it.
-
-    A refused cluster splits at the smaller CLUSTER_RADIUS and each part of
-    several points is certified on its own; a refused part, or a part that is the
-    whole cluster, comes back uncertified at its mean.  Returns (root,
+    """Points within SUSPICION_RADIUS of each other form a cluster, settled by one rule:
+    a cluster of several points is certified once by _confirm_multiple; a refused one
+    splits at max(radius / 2, CLUSTER_RADIUS) and each part is settled the same way,
+    a part that is the whole cluster again without a second certification.  A cluster
+    refused at CLUSTER_RADIUS comes back uncertified at its mean.  Returns (root,
     multiplicity, certified) triples, a multiplicity counting the points merged.
     """
     dist = np.abs(polished[:, None] - polished[None, :])
     points = polished.tolist()
     merged: list[tuple[complex, int, bool]] = []
-    for comp in _components(dist <= SUSPICION_RADIUS):
+
+    def settle(comp: list[int], radius: float, refused: bool) -> None:
         if len(comp) == 1:
             merged.append((points[comp[0]], 1, True))
-            continue
-        refined = _confirm_multiple(chain, polished[comp])
-        if refined is not None:
+        elif not refused and (refined := _confirm_multiple(chain, polished[comp])) is not None:
             merged.append((refined, len(comp), True))
-            continue
-        for part in _components(dist[np.ix_(comp, comp)] <= CLUSTER_RADIUS):
-            members = polished[[comp[i] for i in part]]
-            m = len(part)
-            refined = _confirm_multiple(chain, members) if 1 < m < len(comp) else None
-            merged.append((complex(members.mean()) if refined is None else refined, m, m == 1 or refined is not None))
+        elif radius <= CLUSTER_RADIUS:
+            merged.append((complex(polished[comp].mean()), len(comp), False))
+        else:
+            radius = max(radius / 2, CLUSTER_RADIUS)
+            for part in _components(dist[np.ix_(comp, comp)] <= radius):
+                settle([comp[i] for i in part], radius, len(part) == len(comp))
+
+    for comp in _components(dist <= SUSPICION_RADIUS):
+        settle(comp, SUSPICION_RADIUS, False)
     return merged
 
 
@@ -297,7 +297,8 @@ def find_roots(p: RealPoly) -> RootSet:
     """All complex roots of p with multiplicities and backward errors.
 
     Exact zero roots are stripped first; the rest are companion-matrix seeds
-    polished by Newton iteration and merged by one clustering pass.
+    polished by Newton iteration and merged by one rule: a cluster is certified
+    once, and a refused one splits at half its radius, down to CLUSTER_RADIUS.
     Each root's ``residual`` is its backward error
     |p(z)| / (sum_j |c_j| max(1,|z|)^j + 1): a root with residual r is an
     exact root of a polynomial whose coefficients are relatively perturbed
@@ -305,7 +306,7 @@ def find_roots(p: RealPoly) -> RootSet:
     of modulus much above 1, where the evaluation noise floor grows like
     eps * sum |c_j| |z|^j.  Raises NoConvergence (with the best RootSet
     attached) when some residual exceeds RESIDUAL_SCALE or is not finite, or
-    when a multiple root was not certified by _confirm_multiple.
+    when a cluster is still refused at CLUSTER_RADIUS.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")

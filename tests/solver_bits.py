@@ -21,8 +21,10 @@ breach.
 The set covers the eight tabulated endpoint cases and their derivatives at
 N = 3..101, 171, 201 and 400; four seeded float kappa per (family, N) and
 their derivatives at the same N; phi_k(N, k) for odd N = 5..21 and
-k = 1..N; every Suffridge kernel of F_family(s, N) for N <= 32; and 600
-seeded dense polynomials of degree 1..39.
+k = 1..N; every Suffridge kernel of F_family(s, N) for N <= 32; 600
+seeded dense polynomials of degree 1..39; and 60 seeded ``cluster`` cases, an
+m-fold root a (m = 2 or 3) with a simple root a + d within 4.5e-3 and up to
+three roots more than 0.05 from a, which reach the split of a refused cluster.
 
 The eigensolver's rounding depends on the BLAS thread count, so BLAS is
 pinned to one thread unless the environment already sets a count.  This
@@ -43,6 +45,8 @@ from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from numpy.polynomial import polynomial as npp  # noqa: E402
 
 from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits  # noqa: E402
 from quadrinomials.polycore import RESIDUAL_SCALE, NoConvergence, RealPoly, find_roots  # noqa: E402
@@ -100,6 +104,17 @@ def cases():
         degree = rng.randint(1, 39)
         c = [rng.gauss(0.0, 1.0) for _ in range(degree)] + [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)]
         yield f"dense {i} degree={degree}", RealPoly.of(c)
+    rng = random.Random(1931)
+    for i in range(60):
+        m = rng.choice((2, 3))
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 2.0)
+        d = rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 4.5e-3)
+        others = []
+        while len(others) < i % 4:
+            x = rng.uniform(-3.0, 3.0)
+            if abs(x - a) > 0.05:
+                others.append(x)
+        yield f"cluster {i} m={m}", RealPoly.of(npp.polyfromroots([a] * m + [a + d] + others))
 
 
 def describe(rs) -> str:

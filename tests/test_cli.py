@@ -120,6 +120,22 @@ def test_univalent_with_checks(capsys):
     assert w["identity_deviation"] <= 1e-10
 
 
+def test_univalent_solves_half_the_phi_k_and_mirrors_the_rest(capsys, monkeypatch):
+    """phi_k(N, N-k)(z) = phi_k(N, k)(-z), so only k <= (N-1)/2 and k = N are
+    solved; row N-k repeats row k, and each row is within 1e-12 of a direct solve."""
+    solved = []
+    phi_k = cli.phi_k
+    monkeypatch.setattr(cli, "phi_k", lambda N, k: solved.append(k) or phi_k(N, k))
+    code, out, _ = run(capsys, "univalent", "--s", "0", "--N", "9", "--json")
+    assert code == 0
+    assert solved == [1, 2, 3, 4, 9]
+    devs = [row["max_circle_deviation"] for row in json.loads(out)["payload"]["phi_k"]]
+    assert devs[:8] == devs[7::-1]
+    for k, d in enumerate(devs, 1):
+        direct = max(abs(abs(r.value) - 1.0) for r in find_roots(phi_k(9, k)).roots)
+        assert d == direct if k in solved else abs(d - direct) <= 1e-12
+
+
 def test_univalent_summary_separates_top_kernel(capsys):
     code, out, _ = run(capsys, "univalent", "--s", "0", "--N", "5")
     assert code == 0

@@ -568,3 +568,41 @@ def test_refused_cluster_keeps_its_certified_tight_part():
     assert abs(by_value[0].value + 1.0015) < 1e-9
     assert abs(by_value[1].value + 1.0) < 1e-9
     assert abs(by_value[2].value - 2.0) < 1e-9
+
+
+def test_triple_root_beside_a_near_simple_root_is_certified():
+    # (z-0.5)^3 (z-0.503) (z+1): the triple root's points scatter about 1e-5
+    # apart, wider than CLUSTER_RADIUS.  The cluster of four is refused and
+    # splits at halving radii until 0.503 stands alone; the triple is then
+    # certified, not returned as three simple roots.
+    rs = find_roots(RealPoly.of(npp.polyfromroots([0.5, 0.5, 0.5, 0.503, -1.0])))
+    assert rs.total == 5
+    by_value = sorted(rs.roots, key=lambda r: r.value.real)
+    assert [r.multiplicity for r in by_value] == [1, 3, 1]
+    assert abs(by_value[0].value + 1.0) < 1e-9
+    assert abs(by_value[1].value - 0.5) < 1e-6
+    assert abs(by_value[2].value - 0.503) < 1e-6
+
+
+def test_double_root_beside_a_near_simple_root_is_not_split():
+    """A double root a with a simple root within 4.5e-3 and up to three roots
+    farther off: find_roots either refuses or returns a root of multiplicity
+    at least 2 near a, never the double root as two simple roots."""
+    rng = np.random.default_rng(1931)
+    split = []
+    for _ in range(300):
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 2.0)
+        d = rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 4.5e-3)
+        others = []
+        for _ in range(int(rng.integers(0, 4))):
+            x = rng.uniform(-3.0, 3.0)
+            while abs(x - a) <= 0.05:
+                x = rng.uniform(-3.0, 3.0)
+            others.append(x)
+        try:
+            rs = find_roots(RealPoly.of(npp.polyfromroots([a, a, a + d] + others)))
+        except NoConvergence:
+            continue
+        if not any(r.multiplicity >= 2 and abs(r.value - a) < 0.01 for r in rs.roots):
+            split.append((a, d, others))
+    assert split == []
