@@ -18,9 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebyshev import positive_roots_U, positive_roots_U_prime
-from .polycore import RealPoly, find_roots
-
-CRITERION_TOL = 1e-6  # verify_criterion: largest ||z| - 1| counted as on the circle
+from .polycore import RealPoly, classify_roots, find_roots
 
 
 class NotALimitCase(ValueError):
@@ -38,6 +36,8 @@ def _require_odd(N: int):
 
 @dataclass(frozen=True)
 class QuadSpec:
+    """One quadrinomial; an int kappa is stored as a Fraction, the exact type (floats are not)."""
+
     family: str  # "P" or "Q"
     kappa: Fraction | float
     N: int
@@ -47,6 +47,8 @@ class QuadSpec:
         if fam not in ("P", "Q"):
             raise ValueError("family must be P or Q")
         object.__setattr__(self, "family", fam)
+        if isinstance(self.kappa, int):
+            object.__setattr__(self, "kappa", Fraction(self.kappa))
         if not isinstance(self.N, int) or self.N < 3:
             raise ValueError("N must be an integer >= 3")
         try:
@@ -55,15 +57,6 @@ class QuadSpec:
             finite = False
         if not finite:
             raise ValueError("kappa must be finite")
-
-
-def _exact_kappa(kappa) -> Fraction | None:
-    """Fraction view of kappa when it is exact; floats are never exact."""
-    if isinstance(kappa, Fraction):
-        return kappa
-    if isinstance(kappa, int):
-        return Fraction(kappa)
-    return None
 
 
 @dataclass(frozen=True)
@@ -163,10 +156,11 @@ class CriterionCheck(NamedTuple):
 
 
 def verify_criterion(spec: QuadSpec) -> CriterionCheck:
-    """Cross-check the interval rule against the actually computed roots."""
+    """The interval rule against the computed roots: observed is classify_roots
+    counting all N zeros on the circle; worst_deviation is the largest ||z| - 1|."""
     rs = find_roots(build_quadrinomial(spec))
     worst = max(abs(abs(r.value) - 1.0) for r in rs.roots)
-    return CriterionCheck(circle_criterion(spec), worst <= CRITERION_TOL, worst)
+    return CriterionCheck(circle_criterion(spec), classify_roots(rs).on_circle == spec.N, worst)
 
 
 def factorize_limit_case(spec: QuadSpec) -> FactoredForm:
@@ -176,18 +170,17 @@ def factorize_limit_case(spec: QuadSpec) -> FactoredForm:
     (kappa = +/-1 cases) or U'_{N-2} (kappa = +/-N/(N-2) cases).  Dispatch
     demands an exact rational kappa; a float never matches.
     """
-    kap = _exact_kappa(spec.kappa)
-    if kap is None:
+    if not isinstance(spec.kappa, Fraction):
         raise NotALimitCase("limit-case dispatch requires exact rational kappa")
     N = spec.N
     for end in _ENDS[spec.family, N % 2 == 1]:
-        if kap == _end_kappa(end, N):
+        if spec.kappa == _end_kappa(end, N):
             if end.edge:
                 cosines = positive_roots_U_prime(N - 2).mapped if N >= 4 else ()
             else:
                 cosines = positive_roots_U(N - 2).mapped
             return FactoredForm(end.linear, tuple(end.cos_sign * c for c in cosines), 1.0)
-    raise NotALimitCase(f"no tabulated case for {spec.family}, kappa={kap}, N={N}")
+    raise NotALimitCase(f"no tabulated case for {spec.family}, kappa={spec.kappa}, N={N}")
 
 
 def verify_factorization(spec: QuadSpec) -> float:

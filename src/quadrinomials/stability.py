@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import QuadSpec, _exact_kappa
+from .families import QuadSpec
 from .polycore import RealPoly, find_roots, self_reciprocal_sign
 
 DISK_TOL = 1e-9  # band around |z| = 1 that the disk tests ignore
@@ -42,12 +42,12 @@ def _schur_cohn(c, radius: float) -> bool | None:
     return True
 
 
-def _in_disk(p: RealPoly, radius: float, closed: bool) -> bool:
-    """Zeros of p in |z| < radius (<= if closed); found only if Schur-Cohn declines."""
+def _in_disk(p: RealPoly, radius: float) -> bool:
+    """Every zero of p in |z| < radius: by Schur-Cohn, or, where it declines,
+    by the same strict comparison on the moduli of the found roots."""
     verdict = _schur_cohn(p.coeffs, radius)
     if verdict is None:
-        moduli = [abs(r.value) for r in find_roots(p).roots]
-        verdict = all(m <= radius if closed else m < radius for m in moduli)
+        verdict = all(abs(r.value) < radius for r in find_roots(p).roots)
     return verdict
 
 
@@ -66,7 +66,7 @@ def trinomial_in_disk(n: int, a: float, b: float) -> bool:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _in_disk(trinomial(n, a, b), 1.0 - DISK_TOL, closed=False)
+    return _in_disk(trinomial(n, a, b), 1.0 - DISK_TOL)
 
 
 def boundary_point(curve: str, n: int, t: float) -> tuple[float, float]:
@@ -141,11 +141,8 @@ def quadrinomial_derivative_line(spec: QuadSpec):
     rational a, b.
     """
     n = spec.N - 1
-    kap = _exact_kappa(spec.kappa)
-    if kap is None:
-        kap = spec.kappa
-    a = kap * n / (n + 1)
-    b = kap / (n + 1)
+    a = spec.kappa * n / (n + 1)
+    b = spec.kappa / (n + 1)
     if spec.family == "Q":
         b = -b
     return (n, a, b)
@@ -154,12 +151,12 @@ def quadrinomial_derivative_line(spec: QuadSpec):
 def cohn_on_circle(p: RealPoly) -> bool:
     """All zeros of p on the unit circle, by Cohn's theorem.
 
-    Requires p self-reciprocal (either sign) and every zero of p' inside the
-    closed unit disk (|z| <= 1 + DISK_TOL), tested root-free unless a zero of p'
-    is within about SCHUR_GUARD of that circle, as on every interval edge.
+    Requires p self-reciprocal (either sign) and every zero of p' in the
+    closed unit disk, tested as |z| < 1 + DISK_TOL: root-free unless a zero of
+    p' is within about SCHUR_GUARD of that circle, as on every interval edge.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     if self_reciprocal_sign(p) is None:
         return False
-    return _in_disk(p.derivative(), 1.0 + DISK_TOL, closed=True)
+    return _in_disk(p.derivative(), 1.0 + DISK_TOL)

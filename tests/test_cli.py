@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import argparse
 import numpy as np
 import pytest
 
 from quadrinomials import cli
-from quadrinomials.families import QuadSpec, build_quadrinomial
+from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits
 from quadrinomials.polycore import NoConvergence, RootSet, find_roots
 from quadrinomials.stability import CurveSet
 from quadrinomials.univalent import BoundaryImage
@@ -249,3 +253,42 @@ def test_uncertified_cluster_at_large_kappa_is_a_numeric_failure(capsys, family,
 def test_exact_kappa_beyond_the_float_range_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "--family", "P", "--kappa", "1" + "0" * 400, "--N", "5")
     assert code == 2 and out == "" and "kappa must be finite" in err
+
+
+def test_criterion_observed_is_the_roots_classification(capsys):
+    # criterion's "observed" and roots' circle count are one decision: both
+    # families, N = 3..41, each exact interval end and one float near it.
+    # A refused solve exits 3 from both commands.
+    rng = np.random.default_rng(20)
+    solved = 0
+    for family in "PQ":
+        for N in range(3, 42):
+            for edge in kappa_limits(family, N):
+                near = float(edge) + float(rng.choice([-1.0, 1.0])) * 10 ** rng.uniform(-15, -2)
+                for kappa in (str(edge), repr(near)):
+                    argv = ["--family", family, f"--kappa={kappa}", "--N", str(N), "--json"]
+                    code, out, _ = run(capsys, "criterion", *argv)
+                    roots_code, roots_out, _ = run(capsys, "roots", *argv)
+                    assert code in (0, 3) and roots_code == code
+                    if code == 0:
+                        observed = json.loads(out)["payload"]["observed"]
+                        on_circle = json.loads(roots_out)["payload"]["classification"]["on_circle"]
+                        assert observed == (on_circle == N), (family, kappa, N)
+                        solved += 1
+    assert solved >= 300  # of 312
+
+
+def _run_module(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    pins = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=str(src), **pins)
+    cmd = [sys.executable, "-W", "error", "-m", "quadrinomials.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exit_codes():
+    done = _run_module("criterion", "--family", "P", "--kappa", "5/3", "--N", "5", "--json")
+    golden = Path(__file__).with_name("cli_golden") / "criterion_family_P_kappa_5_3_N_5_json.txt"
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_text(), "")
+    done = _run_module("factor", "--family", "P", "--kappa", "0.5", "--N", "5")
+    assert done.returncode == 2 and done.stdout == "" and "error:" in done.stderr

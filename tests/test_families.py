@@ -38,6 +38,13 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="kappa must be finite"):
             QuadSpec("P", kappa, 5)
     assert QuadSpec("P", Fraction(10**300, 7), 5).kappa == Fraction(10**300, 7)
+    # an int (bool included) is stored as a Fraction, the one exact type;
+    # floats and numpy scalars stay as given
+    for kappa in (1, True):
+        assert type(QuadSpec("P", kappa, 5).kappa) is Fraction
+        assert QuadSpec("P", kappa, 5).kappa == Fraction(1)
+    assert type(QuadSpec("P", np.int64(1), 4).kappa) is np.int64
+    assert type(QuadSpec("P", 0.5, 4).kappa) is float
 
 
 def test_build_examples():
@@ -171,6 +178,9 @@ def test_factor_Q_plus_one_odd():
 def test_factor_rejects_non_limit_cases():
     with pytest.raises(NotALimitCase):
         factorize_limit_case(QuadSpec("P", 1.0, 4))  # float kappa never dispatches
+    for inexact in (np.int64(1), 0.5):  # nor does a numpy scalar
+        with pytest.raises(NotALimitCase, match="exact rational"):
+            factorize_limit_case(QuadSpec("P", inexact, 4))
     with pytest.raises(NotALimitCase):
         factorize_limit_case(QuadSpec("P", 1, 5))  # +1 is interior for odd N
     with pytest.raises(NotALimitCase):

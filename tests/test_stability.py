@@ -21,6 +21,7 @@ from quadrinomials.polycore import RealPoly, find_roots
 from quadrinomials.stability import (
     DISK_TOL,
     T_START_OFFSET,
+    _in_disk,
     _schur_cohn,
     boundary_point,
     cohn_on_circle,
@@ -138,8 +139,14 @@ def test_derivative_line_exact_rationals():
     assert isinstance(a, Fraction) and isinstance(b, Fraction)
     n, a, b = quadrinomial_derivative_line(QuadSpec("Q", Fraction(5, 3), 5))
     assert (n, a, b) == (4, Fraction(4, 3), Fraction(-1, 3))
-    n, a, b = quadrinomial_derivative_line(QuadSpec("P", 2, 4))
-    assert (n, a, b) == (3, Fraction(3, 2), Fraction(1, 2))
+    # an int kappa is exact; a float or numpy integer gives floats
+    for kappa, a, b in (
+        (2, Fraction(3, 2), Fraction(1, 2)),
+        (2.0, 1.5, 0.5),
+        (np.int64(2), np.float64(1.5), np.float64(0.5)),
+    ):
+        got = quadrinomial_derivative_line(QuadSpec("P", kappa, 4))
+        assert got == (3, a, b) and [type(x) for x in got] == [int, type(a), type(b)]
 
 
 def test_derivative_line_matches_actual_derivative():
@@ -235,6 +242,16 @@ def _root_decisions(spec):
         all(m <= 1.0 + DISK_TOL for m in moduli),
         all(m < 1.0 - DISK_TOL for m in moduli),
     )
+
+
+def test_in_disk_fallback_is_as_strict_as_schur_cohn():
+    # a zero exactly on the test circle: Schur-Cohn declines, and the root
+    # comparison decides |z| < radius as Schur-Cohn would, so it is not inside
+    r = 1.0 + DISK_TOL
+    p = RealPoly.of([-r, 1.0])
+    assert _schur_cohn(p.coeffs, r) is None
+    assert _in_disk(p, r) is False
+    assert _in_disk(p, math.nextafter(r, 2.0)) is True
 
 
 def test_disk_tests_match_the_root_decision():
