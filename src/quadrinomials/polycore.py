@@ -225,15 +225,17 @@ def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | Non
     """Try to certify a root of multiplicity m = len(members) near their mean.
 
     Polishes the mean against t_{m-1}, where the root is simple and whose
-    derivative is m t_m, then demands that all lower Taylor coefficients
-    vanish to rounding level and that every member of the cluster sits
-    within the expected rounding-scatter radius.
+    derivative is m t_m.  Relative to _abs_scale of each term, t_0 = p must
+    vanish within RESIDUAL_SCALE, the bound find_roots gates with, and
+    t_1..t_{m-1} within 1e-8; then every member must sit within the
+    expected rounding-scatter radius.
     """
     m = len(members)
     z = _polish(chain[m - 1], m * chain[m], np.array([members.mean()]), 100)
     powers = {1: z}
     for k in range(m):
-        if np.abs(_evaluate(chain[k], _sparse_form(chain[k]), powers)) > 1e-8 * _abs_scale(chain[k], z):
+        bound = 1e-8 if k else RESIDUAL_SCALE
+        if np.abs(_evaluate(chain[k], _sparse_form(chain[k]), powers)) > bound * _abs_scale(chain[k], z):
             return None
     lead = np.abs(_evaluate(chain[m], _sparse_form(chain[m]), powers))[0]
     if lead > 0:

@@ -239,23 +239,14 @@ def _any_meet(pts, lo, hi, i, j) -> bool:
     return False
 
 
-def _sweep(lo, hi):
-    """Sort closed intervals [lo, hi] by lo.  Sorted interval r overlaps the
-    later sorted ones r+1 .. ends[r]-1; cum is the running count of those pairs."""
-    order = np.argsort(lo)
-    ends = np.searchsorted(lo[order], hi[order], side="right")
-    cum = np.cumsum(ends - np.arange(1, len(lo) + 1))
-    return order, ends, cum
-
-
 def simple_curve_scan(img: BoundaryImage) -> bool:
     """True iff no pair of non-adjacent polyline segments intersects.
 
-    Broad phase: a sweep over the segments' closed bounding boxes, sorted on
-    the axis where np.searchsorted counts fewer overlapping pairs (images of
-    real polynomials are symmetric about the real axis, so usually y).  The
-    candidate pairs are built SCAN_CHUNK at a time and filtered by overlap
-    on the other axis and by adjacency; disjoint boxes cannot meet.  Narrow
+    Broad phase: a sweep over the segments' closed bounding boxes sorted by
+    y; images of real polynomials are symmetric about the real axis, so
+    mirrored segments share an x-range but not a y-range.  The candidate
+    pairs are built SCAN_CHUNK at a time and filtered by overlap in x and
+    by adjacency; disjoint boxes cannot meet.  Narrow
     phase, exact: orientation signs decide proper crossings, and an end on
     the other segment's line touches it iff it lies in that segment's box.
     The scan returns False after the first chunk with a meeting pair.
@@ -271,11 +262,9 @@ def simple_curve_scan(img: BoundaryImage) -> bool:
     pts = np.column_stack([img.points.real, img.points.imag])
     pts = np.vstack([pts, pts[:1]])  # segment k runs from pts[k] to pts[k + 1]
     lo, hi = np.minimum(pts[:-1], pts[1:]), np.maximum(pts[:-1], pts[1:])
-    sweeps = [_sweep(lo[:, a], hi[:, a]) for a in (0, 1)]
-    axis = min((0, 1), key=lambda a: sweeps[a][2][-1])  # fewer candidate pairs
-    order, ends, cum = sweeps[axis]
-    del sweeps  # frees the other axis's arrays before the chunks allocate
-    lo_other, hi_other = lo[:, 1 - axis], hi[:, 1 - axis]
+    order = np.argsort(lo[:, 1])  # sorted box r overlaps sorted boxes r+1 .. ends[r]-1 in y
+    ends = np.searchsorted(lo[order, 1], hi[order, 1], side="right")
+    cum = np.cumsum(ends - np.arange(1, m + 1))  # running count of those pairs
     for start in range(0, int(cum[-1]), SCAN_CHUNK):
         flat = np.arange(start, min(start + SCAN_CHUNK, cum[-1]))
         # flat pair index -> sorted box r and the later sorted box it overlaps
@@ -284,7 +273,7 @@ def simple_curve_scan(img: BoundaryImage) -> bool:
         gap = np.abs(u - v)
         # adjacent segments share an end, and so do 0 and m-1
         keep = (gap >= 2) & (gap < m - 1)
-        keep &= (lo_other[u] <= hi_other[v]) & (lo_other[v] <= hi_other[u])
+        keep &= (lo[u, 0] <= hi[v, 0]) & (lo[v, 0] <= hi[u, 0])
         u, v = u[keep], v[keep]
         if _any_meet(pts, lo, hi, np.minimum(u, v), np.maximum(u, v)):
             return False

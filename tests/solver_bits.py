@@ -24,7 +24,10 @@ their derivatives at the same N; phi_k(N, k) for odd N = 5..21 and
 k = 1..N; every Suffridge kernel of F_family(s, N) for N <= 32; 600
 seeded dense polynomials of degree 1..39; and 60 seeded ``cluster`` cases, an
 m-fold root a (m = 2 or 3) with a simple root a + d within 4.5e-3 and up to
-three roots more than 0.05 from a, which reach the split of a refused cluster.
+three roots more than 0.05 from a, which reach the split of a refused cluster;
+then ``nearedge`` quadrinomials at float(end) +- 10^e for each interval end,
+e in {-11.6, -11, -10.1} and N = 19, 41, 101 and 201, the band where the
+double zero at an end splits into two simple zeros a few 1e-6 apart.
 
 The eigensolver's rounding depends on the BLAS thread count, so BLAS is
 pinned to one thread unless the environment already sets a count.  This
@@ -115,6 +118,14 @@ def cases():
             if abs(x - a) > 0.05:
                 others.append(x)
         yield f"cluster {i} m={m}", RealPoly.of(npp.polyfromroots([a] * m + [a + d] + others))
+    for family in ("P", "Q"):
+        for N in (19, 41, 101, 201):
+            for edge in kappa_limits(family, N):
+                for e in (-11.6, -11.0, -10.1):
+                    for sign in (-1.0, 1.0):
+                        kappa = float(edge) + sign * 10**e
+                        p = build_quadrinomial(QuadSpec(family, kappa, N))
+                        yield f"nearedge {family} {kappa.hex()} N={N}", p
 
 
 def describe(rs) -> str:

@@ -292,3 +292,7 @@ def test_module_entry_point_exit_codes():
     assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_text(), "")
     done = _run_module("factor", "--family", "P", "--kappa", "0.5", "--N", "5")
     assert done.returncode == 2 and done.stdout == "" and "error:" in done.stderr
+    # two simple zeros at 1 +- 8.08e-7, not a double root the residual gate refuses
+    done = _run_module("roots", "--family", "P", "--kappa=-1.0000000000058746", "--N", "19", "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["payload"]["classification"]["on_circle"] == 17

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from quadrinomials import polycore
-from quadrinomials.families import QuadSpec, build_quadrinomial, verify_criterion
+from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits, verify_criterion
 from quadrinomials.polycore import (
     NoConvergence,
     RealPoly,
@@ -606,3 +606,38 @@ def test_double_root_beside_a_near_simple_root_is_not_split():
         if not any(r.multiplicity >= 2 and abs(r.value - a) < 0.01 for r in rs.roots):
             split.append((a, d, others))
     assert split == []
+
+
+def test_near_end_pair_is_two_simple_roots():
+    # P at kappa = -1 - 5.87e-12, N = 19: the zeros next to +1 sit at
+    # 1 +- 8.08e-7.  A double root at their mean would have backward error
+    # 2.35e-12, past RESIDUAL_SCALE, so the pair is two simple roots.
+    spec = QuadSpec("P", -1.0000000000058746, 19)
+    rs = find_roots(build_quadrinomial(spec))
+    near = sorted((r for r in rs.roots if abs(r.value - 1.0) < 1e-3), key=lambda r: r.value.real)
+    assert [r.multiplicity for r in near] == [1, 1]
+    assert abs(near[0].value - (1.0 - 8.08e-7)) < 1e-9
+    assert abs(near[1].value - (1.0 + 8.08e-7)) < 1e-9
+    assert classify_roots(rs) == (17, 1, 1)
+    check = verify_criterion(spec)
+    assert (check.predicted, check.observed) == (False, False)
+
+
+def test_certification_never_accepts_what_the_gate_refuses():
+    """Near-end quadrinomials, kappa = end +- 10^U(-12, -10): each solve returns
+    or refuses an uncertified cluster, never a certified root the
+    RESIDUAL_SCALE gate then refuses."""
+    rng = np.random.default_rng(21)
+    outcomes = {"solved": 0, "cluster": 0}
+    for _ in range(300):
+        family = "PQ"[int(rng.integers(2))]
+        N = int(rng.integers(3, 102))
+        edge = kappa_limits(family, N)[int(rng.integers(2))]
+        kappa = float(edge) + float(rng.choice([-1.0, 1.0])) * 10 ** rng.uniform(-12, -10)
+        try:
+            find_roots(build_quadrinomial(QuadSpec(family, kappa, N)))
+            outcomes["solved"] += 1
+        except NoConvergence as exc:
+            assert "failed certification" in str(exc), (family, kappa, N, str(exc))
+            outcomes["cluster"] += 1
+    assert outcomes["solved"] > 200 and outcomes["cluster"] > 0

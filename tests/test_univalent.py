@@ -608,7 +608,7 @@ def test_scan_matches_exact_brute_force_on_star_polygons():
         curves.append(_perturb(pts, rng) if rng.random() < 0.4 else pts)
     # 300 spikes to radius 1000 between radius-100 valleys: some 9000 box
     # pairs overlap, more than four chunks; then the same with a small bow tie
-    # at one tip, the pair that a sweep on either axis reaches last
+    # at one tip, whose crossing is the last candidate pair the y sweep reaches
     spikes = [
         (round(r * math.cos(a)), round(r * math.sin(a)))
         for k in range(300)
