@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import QuadSpec
-from .polycore import RealPoly, find_roots, self_reciprocal_sign
+from .polycore import RESIDUAL_SCALE, RealPoly, _backward_errors, find_roots, self_reciprocal_sign
 
 DISK_TOL = 1e-9  # band around |z| = 1 that the disk tests ignore
 T_START_OFFSET = 1e-6
@@ -44,8 +44,24 @@ def _schur_cohn(c, radius: float) -> bool | None:
 
 def _in_disk(p: RealPoly, radius: float) -> bool:
     """Every zero of p in |z| < radius: by Schur-Cohn, or, where it declines,
-    by the same strict comparison on the moduli of the found roots."""
+    by the same strict comparison on the moduli of the found roots.
+
+    Before the roots are found, a disk wider than the unit circle strips each
+    factor z - s, s = +-1, at which p, scaled by a power of two to
+    max_j |c_j| >= 2^52 so that the gate's + 1 is below rounding, passes
+    find_roots' backward-error gate, |p(s)| / sum_j |c_j| <= RESIDUAL_SCALE at
+    any scale of p.  Such a zero lies on the circle, so inside; Schur-Cohn then
+    decides the quotient, as for the zeros at +-1 of p' at every interval end.
+    """
     verdict = _schur_cohn(p.coeffs, radius)
+    if verdict is None and radius > 1.0:
+        c = np.ldexp(p.as_array(), 53 - np.frexp(np.abs(p.coeffs).max())[1])  # exact
+        for s in (1.0, -1.0):
+            while len(c) > 1 and _backward_errors(c, np.array([s]))[0] <= RESIDUAL_SCALE:
+                # synthetic division by z - s: q_(k-1) = s^k sum_(j>=k) s^j c_j, exact products
+                sign = s ** np.arange(len(c))
+                c = np.cumsum((c * sign)[:0:-1])[::-1] * sign[1:]
+        verdict = _schur_cohn(c, radius)  # a constant quotient: True
     if verdict is None:
         verdict = all(abs(r.value) < radius for r in find_roots(p).roots)
     return verdict
@@ -153,7 +169,8 @@ def cohn_on_circle(p: RealPoly) -> bool:
 
     Requires p self-reciprocal (either sign) and every zero of p' in the
     closed unit disk, tested as |z| < 1 + DISK_TOL: root-free unless a zero of
-    p' is within about SCHUR_GUARD of that circle, as on every interval edge.
+    p' other than +-1 is within about SCHUR_GUARD of that circle.  On every
+    interval edge p' has zeros at +-1, which are stripped before Schur-Cohn.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
