@@ -1,6 +1,7 @@
 """Command line front end; every subcommand can emit JSON (--json) or text,
-optionally into a file (--out).  Exit codes: 0 ok, 2 bad arguments or an
---out file that cannot be opened, 3 the numerics failed to converge.
+optionally into a file (--out).  Exit codes: 0 ok, 1 the reader closed stdout
+before all output was written, 2 bad arguments or an --out file that cannot
+be opened, 3 the numerics failed to converge.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -303,18 +305,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with target as stream:
-        if args.json:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "command": args.command,
-                "params": params,
-                "payload": payload,
-            }
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
-        else:
-            stream.writelines(line + "\n" for line in lines)
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params, "payload": payload}
+    try:
+        with target as stream:
+            if args.json:
+                json.dump(doc, stream, indent=2)
+                stream.write("\n")
+            else:
+                stream.writelines(line + "\n" for line in lines)
+            stream.flush()
+    except BrokenPipeError:  # the reader closed stdout; devnull takes what is left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -216,9 +216,9 @@ class _TaylorChain:
 
 
 def _abs_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Certification's scale sum_j |c_j| max(1,|z|)^j + 1, with |c| in its _sparse_form."""
+    """Certification's scale sum_j |c_j| max(1,|z|)^j, with |c| in its _sparse_form."""
     a = np.abs(c)
-    return _evaluate(a, _sparse_form(a), {1: np.maximum(1.0, np.abs(z))}) + 1.0
+    return _evaluate(a, _sparse_form(a), {1: np.maximum(1.0, np.abs(z))})
 
 
 def _confirm_multiple(chain: _TaylorChain, members: np.ndarray) -> complex | None:
@@ -279,19 +279,15 @@ def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
 
 
 def _backward_errors(c: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """|p(z)| / (sum_j |c_j| max(1,|z|)^j + 1) at each z.
-
-    Where the scale overflows (|z|^n with n = len(c) - 1), the same ratio
-    divided through by |z|^n: |sum_j c_{n-j} w^j| / (sum_j |c_{n-j}| |w|^j + |w|^n)
-    at w = 1/z.
-    """
+    """|p(z)| / sum_j |c_j| max(1,|z|)^j at each z; where that scale overflows,
+    the same ratio divided through by |z|^n, from the reversed c at w = 1/z."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed points are redone below
-        scale = _horner(np.abs(c), np.maximum(1.0, np.abs(values))) + 1.0
+        scale = _horner(np.abs(c), np.maximum(1.0, np.abs(values)))
         out = np.abs(_horner(c, values)) / scale
     far = np.isinf(scale)
     if far.any():
         w, rev = 1.0 / values[far], c[::-1]
-        out[far] = np.abs(_horner(rev, w)) / (_horner(np.abs(rev), np.abs(w)) + np.abs(w) ** (len(c) - 1))
+        out[far] = np.abs(_horner(rev, w)) / _horner(np.abs(rev), np.abs(w))
     return out
 
 
@@ -302,13 +298,13 @@ def find_roots(p: RealPoly) -> RootSet:
     polished by Newton iteration and merged by one rule: a cluster is certified
     once, and a refused one splits at half its radius, down to CLUSTER_RADIUS.
     Each root's ``residual`` is its backward error
-    |p(z)| / (sum_j |c_j| max(1,|z|)^j + 1): a root with residual r is an
-    exact root of a polynomial whose coefficients are relatively perturbed
-    by at most r.  A bound tied to |p|_inf alone is unattainable for roots
-    of modulus much above 1, where the evaluation noise floor grows like
-    eps * sum |c_j| |z|^j.  Raises NoConvergence (with the best RootSet
-    attached) when some residual exceeds RESIDUAL_SCALE or is not finite, or
-    when a cluster is still refused at CLUSTER_RADIUS.
+    |p(z)| / sum_j |c_j| max(1,|z|)^j: a root with residual r is an exact
+    root of a polynomial whose coefficients are relatively perturbed by at
+    most r, whatever the scale of p.  A bound tied to |p|_inf alone is
+    unattainable for roots of modulus much above 1, where the evaluation
+    noise floor grows like eps * sum |c_j| |z|^j.  Raises NoConvergence (with
+    the best RootSet attached) when some residual exceeds RESIDUAL_SCALE or
+    is not finite, or when a cluster is still refused at CLUSTER_RADIUS.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import QuadSpec
-from .polycore import RESIDUAL_SCALE, RealPoly, _backward_errors, find_roots, self_reciprocal_sign
+from .polycore import RESIDUAL_SCALE, RealPoly, find_roots, self_reciprocal_sign
 
 DISK_TOL = 1e-9  # band around |z| = 1 that the disk tests ignore
 T_START_OFFSET = 1e-6
@@ -46,21 +46,22 @@ def _in_disk(p: RealPoly, radius: float) -> bool:
     """Every zero of p in |z| < radius: by Schur-Cohn, or, where it declines,
     by the same strict comparison on the moduli of the found roots.
 
-    Before the roots are found, a disk wider than the unit circle strips each
-    factor z - s, s = +-1, at which p, scaled by a power of two to
-    max_j |c_j| >= 2^52 so that the gate's + 1 is below rounding, passes
-    find_roots' backward-error gate, |p(s)| / sum_j |c_j| <= RESIDUAL_SCALE at
-    any scale of p.  Such a zero lies on the circle, so inside; Schur-Cohn then
-    decides the quotient, as for the zeros at +-1 of p' at every interval end.
+    Before the roots are found, a disk wider than the unit circle scales p
+    exactly, by a power of two to max_j |c_j| in [1/2, 1), which keeps the sums
+    below and in find_roots finite; then it strips each factor z - s, s = +-1,
+    at which p passes find_roots' gate |p(s)| / sum_j |c_j| <= RESIDUAL_SCALE.
+    Such a zero lies on the circle, so inside; Schur-Cohn then decides the
+    quotient, as for the zeros at +-1 of p' at every interval end.
     """
     verdict = _schur_cohn(p.coeffs, radius)
     if verdict is None and radius > 1.0:
-        c = np.ldexp(p.as_array(), 53 - np.frexp(np.abs(p.coeffs).max())[1])  # exact
+        p = RealPoly.of(np.ldexp(p.as_array(), -np.frexp(p.norm_inf)[1]))
+        c = p.as_array()
         for s in (1.0, -1.0):
-            while len(c) > 1 and _backward_errors(c, np.array([s]))[0] <= RESIDUAL_SCALE:
+            sign = s ** np.arange(len(c))
+            while len(c) > 1 and abs(c @ sign[: len(c)]) <= RESIDUAL_SCALE * np.abs(c).sum():
                 # synthetic division by z - s: q_(k-1) = s^k sum_(j>=k) s^j c_j, exact products
-                sign = s ** np.arange(len(c))
-                c = np.cumsum((c * sign)[:0:-1])[::-1] * sign[1:]
+                c = np.cumsum((c * sign[: len(c)])[:0:-1])[::-1] * sign[1 : len(c)]
         verdict = _schur_cohn(c, radius)  # a constant quotient: True
     if verdict is None:
         verdict = all(abs(r.value) < radius for r in find_roots(p).roots)

@@ -27,7 +27,11 @@ m-fold root a (m = 2 or 3) with a simple root a + d within 4.5e-3 and up to
 three roots more than 0.05 from a, which reach the split of a refused cluster;
 then ``nearedge`` quadrinomials at float(end) +- 10^e for each interval end,
 e in {-11.6, -11, -10.1} and N = 19, 41, 101 and 201, the band where the
-double zero at an end splits into two simple zeros a few 1e-6 apart.
+double zero at an end splits into two simple zeros a few 1e-6 apart; and last,
+``scaled``: each ``nearedge`` case times 2^-40 and 2^40.  A power of two moves
+no zero, and the backward error is relative, so each ``scaled`` line must
+print the roots, multiplicities and residuals of its ``nearedge`` twin; an
+absolute term in the residual test shows up there as a changed multiplicity.
 
 The eigensolver's rounding depends on the BLAS thread count, so BLAS is
 pinned to one thread unless the environment already sets a count.  This
@@ -118,14 +122,19 @@ def cases():
             if abs(x - a) > 0.05:
                 others.append(x)
         yield f"cluster {i} m={m}", RealPoly.of(npp.polyfromroots([a] * m + [a + d] + others))
+    nearedge = []
     for family in ("P", "Q"):
         for N in (19, 41, 101, 201):
             for edge in kappa_limits(family, N):
                 for e in (-11.6, -11.0, -10.1):
                     for sign in (-1.0, 1.0):
                         kappa = float(edge) + sign * 10**e
-                        p = build_quadrinomial(QuadSpec(family, kappa, N))
-                        yield f"nearedge {family} {kappa.hex()} N={N}", p
+                        nearedge.append((f"{family} {kappa.hex()} N={N}", build_quadrinomial(QuadSpec(family, kappa, N))))
+    for name, p in nearedge:
+        yield f"nearedge {name}", p
+    for name, p in nearedge:
+        for e in (-40, 40):
+            yield f"scaled 2^{e} {name}", RealPoly.of(math.ldexp(v, e) for v in p.coeffs)
 
 
 def describe(rs) -> str:

@@ -278,11 +278,15 @@ def test_criterion_observed_is_the_roots_classification(capsys):
     assert solved >= 300  # of 312
 
 
-def _run_module(*argv):
+def _module_command(*argv):
     src = Path(__file__).resolve().parents[1] / "src"
     pins = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=str(src), **pins)
-    cmd = [sys.executable, "-W", "error", "-m", "quadrinomials.cli", *argv]
+    return [sys.executable, "-W", "error", "-m", "quadrinomials.cli", *argv], env
+
+
+def _run_module(*argv):
+    cmd, env = _module_command(*argv)
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -296,3 +300,14 @@ def test_module_entry_point_exit_codes():
     done = _run_module("roots", "--family", "P", "--kappa=-1.0000000000058746", "--N", "19", "--json")
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["payload"]["classification"]["on_circle"] == 17
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe while the CLI still writes
+    cmd, env = _module_command("stability", "--n", "4", "--samples", "20000")
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "curve,t,a,b\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
+    assert proc.returncode == 1

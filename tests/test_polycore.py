@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
@@ -424,7 +424,7 @@ def test_polish_and_residuals_match_polyval_bitwise(monkeypatch):
                 assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
                 assert failed or got.residual <= polycore.RESIDUAL_SCALE
         values = np.array([r.value for r in rs.roots])
-        scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c)) + 1.0
+        scale = npp.polyval(np.maximum(1.0, np.abs(values)), np.abs(c))
         expected = np.abs(npp.polyval(values, c)) / scale
         assert _same_bits([r.residual for r in rs.roots], expected)
     assert sparse_path == 12
@@ -456,6 +456,7 @@ def _sparse_vector(kind, N, kappa, k):
     log_radius=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
     angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
 )
+@example(kind="p'", N=294, kappa=0.0, k=0, log_radius=-1.0625, angles=[0.0])  # 294 z^293 is subnormal
 def test_sparse_evaluation_within_forward_error_bound(kind, N, kappa, k, log_radius, angles):
     """The sparse form against npp.polyval, at an array and at each scalar point.
 
@@ -463,7 +464,9 @@ def test_sparse_evaluation_within_forward_error_bound(kind, N, kappa, k, log_rad
     4 (n+1) u sum_j |c_j| |z|^j (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 5.1), and binary powering keeps the sparse form under
     the same bound, so the two differ by at most 8 (n+1) u sum_j |c_j| |z|^j.
-    The radius is capped where |z|^n would overflow in both.
+    Where a product underflows, it also carries an absolute error of up to the
+    smallest subnormal eta, so 8 (n+1) eta (sum_j |c_j| + max(1,|z|)^n) is
+    added.  The radius is capped where |z|^n would overflow in both.
     """
     c = _sparse_vector(kind, N, kappa, k)
     n = len(c) - 1
@@ -471,6 +474,7 @@ def test_sparse_evaluation_within_forward_error_bound(kind, N, kappa, k, log_rad
     form = (e.tolist(), c[e].tolist())
     z = 10.0 ** min(log_radius, 300.0 / n) * np.exp(1j * np.array(angles))
     bound = 8 * (n + 1) * np.finfo(float).eps / 2 * npp.polyval(np.abs(z), np.abs(c))
+    bound += 8 * (n + 1) * np.finfo(float).smallest_subnormal * (np.abs(c).sum() + np.maximum(1.0, np.abs(z)) ** n)
     want = npp.polyval(z, c)
     assert np.all(np.abs(_evaluate(c, form, {1: z}) - want) <= bound)
     for zi, wi, bi in zip(z.tolist(), want, bound):
@@ -641,3 +645,28 @@ def test_certification_never_accepts_what_the_gate_refuses():
             assert "failed certification" in str(exc), (family, kappa, N, str(exc))
             outcomes["cluster"] += 1
     assert outcomes["solved"] > 200 and outcomes["cluster"] > 0
+
+
+def test_find_roots_does_not_depend_on_scale():
+    """An exact power-of-two factor moves no zero of p, and find_roots returns the
+    same bits for it: companion seeds, Newton steps, the stall test and the
+    relative backward error are all unchanged by it.  The named case, P at
+    kappa = -1 - 5.87e-12, N = 19, has two simple zeros at 1 +- 8.08e-7; under
+    an absolute residual test, p * 2^-5 came back with a certified double root
+    at 1 and 19 zeros on the circle."""
+    rng = np.random.default_rng(2025)
+    polys = [build_quadrinomial(QuadSpec("P", -1.0000000000058746, 19))]
+    for family in "PQ":
+        for N in (5, 12, 19, 33, 41, 101):
+            lo, hi = kappa_limits(family, N)
+            for kappa in (lo, hi, float(lo) - 1e-12, float(hi) + 1e-12):
+                polys.append(build_quadrinomial(QuadSpec(family, kappa, N)))
+    polys += [phi_k(N, k) for N in (5, 9, 21) for k in range(1, N + 1)]
+    for degree in range(1, 40):
+        polys.append(RealPoly.of(np.append(rng.normal(size=degree), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in polys:
+            want = _solve(p)  # Root equality compares value, multiplicity and residual
+            for e in (-900, -40, -5, 7, 900):
+                assert _solve(RealPoly.of(np.ldexp(p.as_array(), e))) == want, (p.coeffs, e)

@@ -183,8 +183,9 @@ def test_cohn_verdict_does_not_depend_on_scale():
     assert_allclose(np.abs(np.roots(tiny[::-1])), math.sqrt(2.0), rtol=1e-14)
     assert not cohn_on_circle(RealPoly.of(tiny))
     # p' has one zero at 1 + 4.5e-8, which Schur-Cohn leaves undecided, so
-    # p' is not divided by z - 1 at any scale, however small p(1) is
-    for scale in (1e-5, 1.0, 1e5):
+    # p' is not divided by z - 1 at any scale, however small p(1) is; near the
+    # top of the float range sum_j |c_j| of p' overflows unless p' is rescaled
+    for scale in (2.0**-1000, 1e-5, 1.0, 1e5, 0.5e308, 0.8e308):
         p = RealPoly.of([scale, -2.00000008997 * scale, scale])
         assert _schur_cohn(p.derivative().coeffs, 1.0 + DISK_TOL) is None
         assert not cohn_on_circle(p), scale
