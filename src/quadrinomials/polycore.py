@@ -279,8 +279,10 @@ def _merge_clusters(chain: _TaylorChain, polished: np.ndarray):
 
 
 def _backward_errors(c: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """|p(z)| / sum_j |c_j| max(1,|z|)^j at each z; where that scale overflows,
-    the same ratio divided through by |z|^n, from the reversed c at w = 1/z."""
+    """|p(z)| / sum_j |c_j| max(1,|z|)^j at each z, with c scaled exactly to max_j |c_j|
+    in [1/2, 1) so that sum_j |c_j| is finite; where that scale overflows, the
+    same ratio divided through by |z|^n, from the reversed c at w = 1/z."""
+    c = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed points are redone below
         scale = _horner(np.abs(c), np.maximum(1.0, np.abs(values)))
         out = np.abs(_horner(c, values)) / scale

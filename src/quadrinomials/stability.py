@@ -26,20 +26,37 @@ def _schur_cohn(c, radius: float) -> bool | None:
     """Every zero of sum c_j z^j in |z| < radius, by the Schur-Cohn recursion
     (Marden, Geometry of Polynomials, sections 42-45) on the monic c_j radius^j;
     None when some step's constant term k has |1 - |k|| <= SCHUR_GUARD, where
-    rounding decides.
+    rounding decides.  O(n) on the trinomial shape z^n + a z^(n-1) + b, O(n^2)
+    on any other input.
     """
     a = np.asarray(c, dtype=float) * radius ** np.arange(len(c))
-    a = a / a[-1]
-    while a.size > 1:
-        k = a[0]
+    for k in _schur_constants(a / a[-1]):
         if abs(1.0 - abs(k)) <= SCHUR_GUARD:
             return None
         if abs(k) > 1.0:
             return False
+    return True
+
+
+def _schur_constants(a: np.ndarray):
+    """The constant term k of each Schur-Cohn step on the monic a; the step runs
+    once the caller asks for the next k, so only after |k| < 1 is settled."""
+    if a.size > 1 and not a[1:-2].any():
+        # support {0, n-1, n} maps to itself one degree lower, so carry (beta, alpha)
+        # = (a[0], a[-2]) as floats with the dense step's operations, whose a[1] is 0
+        # above degree 2 and alpha at it; the leading d / d stays exactly 1
+        beta, alpha = float(a[0]), float(a[-2])
+        for n in range(a.size - 1, 0, -1):
+            yield beta
+            d = 1.0 - beta * beta
+            beta, alpha = ((alpha if n == 2 else 0.0) - beta * alpha) / d, (alpha - beta * 0.0) / d
+        return
+    while a.size > 1:
+        k = a[0]
+        yield k
         # |k| < 1: by Rouche a - k a* (a* = a reversed) has as many zeros in
         # the disk as a, one of them z = 0
         a = (a[1:] - k * a[-2::-1]) / (1.0 - k * k)
-    return True
 
 
 def _in_disk(p: RealPoly, radius: float) -> bool:
@@ -48,10 +65,10 @@ def _in_disk(p: RealPoly, radius: float) -> bool:
 
     Before the roots are found, a disk wider than the unit circle scales p
     exactly, by a power of two to max_j |c_j| in [1/2, 1), which keeps the sums
-    below and in find_roots finite; then it strips each factor z - s, s = +-1,
-    at which p passes find_roots' gate |p(s)| / sum_j |c_j| <= RESIDUAL_SCALE.
-    Such a zero lies on the circle, so inside; Schur-Cohn then decides the
-    quotient, as for the zeros at +-1 of p' at every interval end.
+    below finite; then it strips each factor z - s, s = +-1, at which p passes
+    find_roots' gate |p(s)| / sum_j |c_j| <= RESIDUAL_SCALE.  Such a zero lies
+    on the circle, so inside; Schur-Cohn then decides the quotient, as for the
+    zeros at +-1 of p' at every interval end.
     """
     verdict = _schur_cohn(p.coeffs, radius)
     if verdict is None and radius > 1.0:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
-from quadrinomials import polycore
+from quadrinomials import cli, polycore
 from quadrinomials.families import QuadSpec, build_quadrinomial, kappa_limits, verify_criterion
 from quadrinomials.polycore import (
     NoConvergence,
@@ -191,6 +191,17 @@ def test_overflowing_root_gets_a_finite_backward_error(kappa, N):
     far = [r for r in rs.roots if abs(r.value) > 2.0]
     assert len(far) == 1 and abs(far[0].value + kappa) < 1e-12 * kappa
     assert far[0].residual <= 4 * np.finfo(float).eps
+
+
+def test_backward_error_scale_stays_finite_near_the_float_maximum(capsys):
+    # sum_j |c_j| of these coefficients overflows unless c is scaled exactly first;
+    # the second input is the CLI's own find_roots on p' = -1.000000045e308 + 1e308 z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = find_roots(RealPoly.of([-1e308, 1e308]))
+        assert cli.main(["cohn", "--coeffs", "0.5e308,-1.000000045e308,0.5e308"]) == 0
+    assert rs.roots == (Root(1 + 0j, 1, 0.0),)
+    assert "p' root 1.000000045" in capsys.readouterr().out
 
 
 def test_non_finite_residual_fails_the_gate(monkeypatch):

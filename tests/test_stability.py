@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
@@ -237,6 +237,56 @@ def test_schur_cohn_never_returns_the_wrong_verdict(radius, zeros, scale):
     assert _schur_cohn(c, radius) in (truth, None)
 
 
+def _dense_schur_cohn(c, radius):
+    """The dense O(n^2) recursion that _schur_cohn ran on every input before its
+    trinomial branch: the reference for that branch."""
+    a = np.asarray(c, dtype=float) * radius ** np.arange(len(c))
+    a = a / a[-1]
+    while a.size > 1:
+        k = a[0]
+        if abs(1.0 - abs(k)) <= stability.SCHUR_GUARD:
+            return None
+        if abs(k) > 1.0:
+            return False
+        a = (a[1:] - k * a[-2::-1]) / (1.0 - k * k)
+    return True
+
+
+_signed_decades = st.one_of(
+    st.just(0.0),
+    st.builds(lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 3.0)),
+)
+
+
+@st.composite
+def _trinomial_shapes(draw):
+    """Coefficients with support {0, n-1, n}: a and b over several decades with
+    either sign, a point within 1e-7 relative of curve III or IV, where some
+    step's |k| meets the guard, or the p' of a P or Q quadrinomial."""
+    kind = draw(st.sampled_from(["decades", "curve", "derivative"]))
+    n = draw(st.integers(1 if kind == "decades" else 2, 400))
+    if kind == "derivative":
+        spec = QuadSpec(draw(st.sampled_from("PQ")), draw(st.floats(-4.0, 4.0)), n + 1)
+        return build_quadrinomial(spec).derivative().coeffs
+    if kind == "decades":
+        a, b = draw(_signed_decades), draw(_signed_decades)
+    else:
+        t = draw(st.floats((n - 1) * math.pi / n, math.pi, exclude_max=True))
+        a, b = boundary_point(draw(st.sampled_from(["III", "IV"])), n, t)
+        a, b = (x * (1.0 + draw(st.floats(-1e-7, 1e-7))) for x in (a, b))
+    return trinomial(n, a, b).coeffs
+
+
+@seed(4021)
+@settings(max_examples=400, deadline=None)
+@given(
+    c=_trinomial_shapes(),
+    radius=st.one_of(st.sampled_from([1.0 - DISK_TOL, 1.0, 1.0 + DISK_TOL]), st.floats(0.5, 2.0)),
+)
+def test_trinomial_branch_matches_the_dense_recursion(c, radius):
+    assert _schur_cohn(c, radius) is _dense_schur_cohn(c, radius)
+
+
 def test_schur_cohn_declines_zeros_on_the_circle():
     # (1 + z)^2 (1 + z + z^2): a double zero and a pair on |z| = 1
     assert _schur_cohn([1.0, 3.0, 4.0, 3.0, 1.0], 1.0 + 1e-9) is None
@@ -329,7 +379,7 @@ def test_cohn_true_on_every_endpoint_case(monkeypatch):
             assert cohn_on_circle(p), (fam, kap, N)
 
 
-@pytest.mark.parametrize("N", [171, 201, 501, 1000])
+@pytest.mark.parametrize("N", [171, 201, 501, 1000, 20001])
 @pytest.mark.parametrize("family", ["P", "Q"])
 @pytest.mark.parametrize("kappa", [0.3, 1.5])
 def test_disk_tests_clean_at_high_degree(family, N, kappa):
